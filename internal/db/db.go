@@ -143,6 +143,9 @@ type System struct {
 	index  indexState
 	result Result
 	txSeq  int
+	// pageLocks names each account page's lock, built once per system
+	// rather than formatted on every DebitCredit.
+	pageLocks []string
 }
 
 // New builds a system for one configuration.
@@ -159,6 +162,10 @@ func New(cfg MemoryConfig, p Params) *System {
 		locks: newBargingLockManager(env),
 		rng:   sim.NewRNG(p.Seed),
 		index: indexState{valid: true},
+	}
+	s.pageLocks = make([]string, p.AccountPages)
+	for i := range s.pageLocks {
+		s.pageLocks[i] = fmt.Sprintf("page:accounts/%d", i)
 	}
 	s.result.Config = cfg
 	return s
@@ -239,7 +246,7 @@ func (s *System) transaction(p *sim.Proc, seq int, isJoin bool, accountPage int,
 func (s *System) debitCredit(p *sim.Proc, owner interface{}, accountPage int, touchesIndex bool) {
 	s.locks.Acquire(p, owner, "db", IX)
 	s.locks.Acquire(p, owner, "rel:accounts", IX)
-	s.locks.Acquire(p, owner, fmt.Sprintf("page:accounts/%d", accountPage), X)
+	s.locks.Acquire(p, owner, s.pageLocks[accountPage], X)
 	if s.cfg != NoIndex && touchesIndex {
 		s.locks.Acquire(p, owner, "idx:accounts", IX)
 	}

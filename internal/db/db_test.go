@@ -173,3 +173,26 @@ func TestMoreProcessorsHelpNoIndex(t *testing.T) {
 		t.Fatalf("doubling processors did not help: %v vs %v", r12.Average(), r6.Average())
 	}
 }
+
+// A full paper-sized run must leave the lock table clean: every lock ever
+// named has no holder and no waiter, and no owner is still listed as
+// holding anything — the commit path releases exactly what it acquired.
+func TestRunLeavesNoLocksHeld(t *testing.T) {
+	for _, cfg := range []MemoryConfig{NoIndex, IndexInMemory, IndexWithPaging, IndexRegeneration} {
+		s := New(cfg, DefaultParams())
+		if r := s.Run(); r.Deadlocked != 0 {
+			t.Fatalf("%v: %d processes deadlocked", cfg, r.Deadlocked)
+		}
+		for name := range s.locks.locks {
+			if h, q := s.locks.Holders(name), s.locks.QueueLen(name); h != 0 || q != 0 {
+				t.Fatalf("%v: lock %s left with %d holders, %d waiters", cfg, name, h, q)
+			}
+		}
+		if n := len(s.locks.held); n != 0 {
+			t.Fatalf("%v: %d owners still listed as holding locks", cfg, n)
+		}
+		if st := s.locks.Stats(); st.Released != st.Acquires {
+			t.Fatalf("%v: %d acquisitions but %d releases", cfg, st.Acquires, st.Released)
+		}
+	}
+}

@@ -10,6 +10,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 
 	"epcm/internal/sim"
 )
@@ -105,6 +106,10 @@ type LockStats struct {
 type LockManager struct {
 	env   *sim.Env
 	locks map[string]*lock
+	// held lists, per owner, the locks it holds, in the order it was first
+	// granted each one, so a commit touches only its own locks and wakes
+	// their waiters in a deterministic order.
+	held map[interface{}][]*lock
 	// Barging enables reader-preference granting.
 	Barging bool
 	// waited records per-acquisition wait times for diagnosis.
@@ -114,7 +119,7 @@ type LockManager struct {
 
 // NewLockManager builds a lock manager over the simulation environment.
 func NewLockManager(env *sim.Env) *LockManager {
-	return &LockManager{env: env, locks: make(map[string]*lock)}
+	return &LockManager{env: env, locks: make(map[string]*lock), held: make(map[interface{}][]*lock)}
 }
 
 // Stats returns a snapshot of activity counters.
@@ -140,7 +145,7 @@ func (m *LockManager) Acquire(p *sim.Proc, owner interface{}, name string, mode 
 	m.stats.Acquires++
 	l := m.lockFor(name)
 	if (m.Barging || len(l.queue) == 0) && l.grantable(owner, mode) {
-		l.granted = append(l.granted, lockHold{owner: owner, mode: mode})
+		m.grant(l, owner, mode)
 		m.waited.Add(0)
 		return
 	}
@@ -152,9 +157,26 @@ func (m *LockManager) Acquire(p *sim.Proc, owner interface{}, name string, mode 
 	// The releaser granted the hold before waking us.
 }
 
-// Release drops every hold owner has on `name` and grants waiters.
-func (m *LockManager) Release(owner interface{}, name string) {
-	l := m.lockFor(name)
+// grant records a hold, adding l to owner's held list on its first hold.
+func (m *LockManager) grant(l *lock, owner interface{}, mode Mode) {
+	if !l.heldBy(owner) {
+		m.held[owner] = append(m.held[owner], l)
+	}
+	l.granted = append(l.granted, lockHold{owner: owner, mode: mode})
+}
+
+// heldBy reports whether owner holds l in any mode.
+func (l *lock) heldBy(owner interface{}) bool {
+	for _, h := range l.granted {
+		if h.owner == owner {
+			return true
+		}
+	}
+	return false
+}
+
+// drop removes every hold owner has on l, reporting whether there was one.
+func (m *LockManager) drop(l *lock, owner interface{}) bool {
 	kept := l.granted[:0]
 	for _, h := range l.granted {
 		if h.owner == owner {
@@ -163,27 +185,37 @@ func (m *LockManager) Release(owner interface{}, name string) {
 		}
 		kept = append(kept, h)
 	}
+	clear(l.granted[len(kept):]) // drop owner references for the GC
+	changed := len(kept) < len(l.granted)
 	l.granted = kept
+	return changed
+}
+
+// Release drops every hold owner has on `name` and grants waiters.
+func (m *LockManager) Release(owner interface{}, name string) {
+	l := m.lockFor(name)
+	if m.drop(l, owner) {
+		held := m.held[owner]
+		i := slices.Index(held, l)
+		held = slices.Delete(held, i, i+1)
+		if len(held) == 0 {
+			delete(m.held, owner)
+		} else {
+			m.held[owner] = held
+		}
+	}
 	m.grantWaiters(l)
 }
 
-// ReleaseAll drops every hold owner has anywhere (two-phase commit point).
+// ReleaseAll drops every hold owner has anywhere (two-phase commit point),
+// granting waiters lock by lock in the order owner acquired them. It costs
+// O(locks owner holds), not O(locks ever named).
 func (m *LockManager) ReleaseAll(owner interface{}) {
-	for _, l := range m.locks {
-		kept := l.granted[:0]
-		changed := false
-		for _, h := range l.granted {
-			if h.owner == owner {
-				m.stats.Released++
-				changed = true
-				continue
-			}
-			kept = append(kept, h)
-		}
-		l.granted = kept
-		if changed {
-			m.grantWaiters(l)
-		}
+	held := m.held[owner]
+	delete(m.held, owner)
+	for _, l := range held {
+		m.drop(l, owner)
+		m.grantWaiters(l)
 	}
 }
 
@@ -198,7 +230,7 @@ func (m *LockManager) grantWaiters(l *lock) {
 				return
 			}
 			l.queue = l.queue[1:]
-			l.granted = append(l.granted, lockHold{owner: w.owner, mode: w.mode})
+			m.grant(l, w.owner, w.mode)
 			m.env.Wake(w.proc)
 		}
 		return
@@ -206,7 +238,7 @@ func (m *LockManager) grantWaiters(l *lock) {
 	kept := l.queue[:0]
 	for _, w := range l.queue {
 		if l.grantable(w.owner, w.mode) {
-			l.granted = append(l.granted, lockHold{owner: w.owner, mode: w.mode})
+			m.grant(l, w.owner, w.mode)
 			m.env.Wake(w.proc)
 		} else {
 			kept = append(kept, w)

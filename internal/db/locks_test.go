@@ -1,6 +1,7 @@
 package db
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -223,5 +224,141 @@ func TestNoIncompatibleGrantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A hold granted to a waiter inside grantWaiters belongs to that waiter:
+// its own ReleaseAll must drop it (and the hold it was granted directly)
+// and leave nothing behind, under FIFO and barging grants alike.
+func TestWaiterGrantDroppedByOwnReleaseAll(t *testing.T) {
+	for _, barging := range []bool{false, true} {
+		env, m := newLockEnv()
+		m.Barging = barging
+		env.Go("a", func(p *sim.Proc) {
+			m.Acquire(p, "a", "l", X)
+			p.Sleep(time.Millisecond)
+			m.ReleaseAll("a")
+		})
+		env.Go("b", func(p *sim.Proc) {
+			m.Acquire(p, "b", "free", X) // granted on the spot
+			m.Acquire(p, "b", "l", X)    // granted by a's release
+			if m.Holders("l") != 1 {
+				t.Errorf("barging=%v: l has %d holders after the wait", barging, m.Holders("l"))
+			}
+			m.ReleaseAll("b")
+		})
+		if blocked := env.Run(); blocked != 0 {
+			t.Fatalf("barging=%v: blocked = %d", barging, blocked)
+		}
+		for _, name := range []string{"l", "free"} {
+			if h, q := m.Holders(name), m.QueueLen(name); h != 0 || q != 0 {
+				t.Fatalf("barging=%v: %s left with %d holders, %d waiters", barging, name, h, q)
+			}
+		}
+		if len(m.held) != 0 {
+			t.Fatalf("barging=%v: %d owners still listed as holding locks", barging, len(m.held))
+		}
+		if s := m.Stats(); s.Released != 3 || s.Waits != 1 {
+			t.Fatalf("barging=%v: stats = %+v, want 3 released, 1 wait", barging, s)
+		}
+	}
+}
+
+// Release of one lock followed by ReleaseAll counts every hold exactly
+// once: the single release takes the lock off the owner's held list, so
+// the commit does not release it again.
+func TestReleaseThenReleaseAllCountsOnce(t *testing.T) {
+	env, m := newLockEnv()
+	env.Go("a", func(p *sim.Proc) {
+		m.Acquire(p, "a", "l1", IS)
+		m.Acquire(p, "a", "l1", S) // re-entrant: a second hold on l1
+		m.Acquire(p, "a", "l2", X)
+		m.Release("a", "l1")
+		if got := m.Stats().Released; got != 2 {
+			t.Errorf("Released = %d after Release(l1), want 2", got)
+		}
+		m.ReleaseAll("a")
+		m.ReleaseAll("a") // nothing left: a no-op
+	})
+	env.Run()
+	if got := m.Stats().Released; got != 3 {
+		t.Fatalf("Released = %d, want 3 (one per hold)", got)
+	}
+	if m.Holders("l1") != 0 || m.Holders("l2") != 0 || len(m.held) != 0 {
+		t.Fatal("holds left after ReleaseAll")
+	}
+}
+
+// ReleaseAll wakes the waiters of an owner's locks in the order the owner
+// acquired those locks — not in lock-name order and not in map order — so
+// a commit's wake-ups are the same on every run.
+func TestReleaseAllWakesInAcquisitionOrder(t *testing.T) {
+	for rep := 0; rep < 50; rep++ {
+		env, m := newLockEnv()
+		var woke []string
+		env.Go("holder", func(p *sim.Proc) {
+			for _, name := range []string{"m", "c", "x", "a"} {
+				m.Acquire(p, "holder", name, X)
+			}
+			p.Sleep(time.Millisecond)
+			m.ReleaseAll("holder")
+		})
+		// Queue in the reverse of the acquisition order.
+		for _, name := range []string{"a", "x", "c", "m"} {
+			name := name
+			env.Go("w-"+name, func(p *sim.Proc) {
+				m.Acquire(p, p.Name(), name, X)
+				woke = append(woke, name)
+				m.ReleaseAll(p.Name())
+			})
+		}
+		if blocked := env.Run(); blocked != 0 {
+			t.Fatalf("blocked = %d", blocked)
+		}
+		want := []string{"m", "c", "x", "a"}
+		for i := range want {
+			if i >= len(woke) || woke[i] != want[i] {
+				t.Fatalf("repeat %d: wake order %v, want %v", rep, woke, want)
+			}
+		}
+	}
+}
+
+// BenchmarkLockManagerCommit is one DebitCredit's lock traffic — four
+// acquisitions and the commit's ReleaseAll — against a manager that has
+// already named every account-page lock. Its ns/op must not grow with the
+// number of named locks: a commit touches only the locks it holds.
+func BenchmarkLockManagerCommit(b *testing.B) {
+	for _, pages := range []int{64, 2048} {
+		b.Run(fmt.Sprintf("named=%d", pages+3), func(b *testing.B) {
+			env, m := newLockEnv()
+			names := make([]string, pages)
+			for i := range names {
+				names[i] = fmt.Sprintf("page:accounts/%d", i)
+			}
+			var owner interface{} = 1
+			env.Go("txn", func(p *sim.Proc) {
+				for _, name := range names {
+					m.Acquire(p, owner, name, X)
+				}
+				m.ReleaseAll(owner)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%(1<<16) == 0 {
+						// Bound the wait-time series, which keeps a
+						// sample per acquisition.
+						b.StopTimer()
+						m.waited = sim.Series{}
+						b.StartTimer()
+					}
+					m.Acquire(p, owner, "db", IX)
+					m.Acquire(p, owner, "rel:accounts", IX)
+					m.Acquire(p, owner, names[i%pages], X)
+					m.Acquire(p, owner, "idx:accounts", IX)
+					m.ReleaseAll(owner)
+				}
+			})
+			env.Run()
+		})
 	}
 }

@@ -20,28 +20,37 @@ import (
 // The dense cells are atomic: a touch (get) or in-place put on a page the
 // dense prefix already covers is lock-free, so flat-combining lanes never
 // rendezvous on a mutex for the common refault. Only growth of the dense
-// prefix and the sparse spill take the per-segment mutex. Correctness of
-// the values still relies on the manager's single-writer discipline (one
-// lane executor mutates a manager at a time); the atomics make concurrent
-// readers — the MRU probe, invariant checks — safe, and keep the structure
-// race-clean if that discipline is ever relaxed per key.
+// prefix and the sparse spill take the per-segment mutex. The prefix is a
+// spine of fixed-size chunks, and growth copies chunk pointers, never cell
+// values: a cell keeps its address for the life of the segment, so a
+// lock-free store can never land in an array a concurrent grow has already
+// copied and is about to retire. Correctness of the values still relies on
+// the manager's single-writer discipline (one lane executor mutates a
+// manager at a time); the atomics make concurrent readers — the MRU probe,
+// invariant checks — safe, and keep the structure race-clean if that
+// discipline is ever relaxed per key.
 type residentIndex struct {
 	bySeg sync.Map // *kernel.Segment -> *posSlots
-	// hint presizes a new segment's dense slice (PresizeResident), so a
-	// working set touched in order never reallocates the prefix.
+	// hint presizes a new segment's dense prefix (PresizeResident), so a
+	// working set touched in order never grows the prefix.
 	hint int
 }
+
+// posChunk is the number of dense cells per chunk (4 KB).
+const posChunk = 1024
+
+type posCells [posChunk]atomic.Int32
 
 // posSlots holds one segment's page -> position mapping. Positions are
 // stored +1 so the zero value of a dense cell means "absent".
 type posSlots struct {
-	dense  atomic.Pointer[[]atomic.Int32] // pages [0, len(dense))
+	dense  atomic.Pointer[[]*posCells] // pages [0, len(dense)*posChunk)
 	mu     sync.Mutex
-	sparse map[int64]int32 // pages beyond the dense prefix
+	sparse map[int64]int32 // pages beyond the dense prefix, never below it
 }
 
 const (
-	// posDenseDirect is the page number below which the dense slice always
+	// posDenseDirect is the page number below which the dense prefix always
 	// grows to cover a put (at most 16 KB per segment).
 	posDenseDirect = 4096
 	// posDenseMax caps dense growth, mirroring pageStore's bound.
@@ -68,8 +77,7 @@ func (x *residentIndex) slots(seg *kernel.Segment) *posSlots {
 	}
 	ps := &posSlots{}
 	if x.hint > 0 {
-		cells := make([]atomic.Int32, x.hint)
-		ps.dense.Store(&cells)
+		ps.grow(int64(x.hint))
 	}
 	if v, raced := x.bySeg.LoadOrStore(seg, ps); raced {
 		return v.(*posSlots)
@@ -83,13 +91,19 @@ func (x *residentIndex) get(k resKey) (int, bool) {
 		return 0, false
 	}
 	ps := v.(*posSlots)
-	if cells := ps.dense.Load(); cells != nil && uint64(k.page) < uint64(len(*cells)) {
-		p := (*cells)[k.page].Load()
+	if c := ps.denseCell(k.page); c != nil {
+		p := c.Load()
 		return int(p) - 1, p != 0
 	}
 	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	// Re-check under the mutex: a grow that raced the lock-free probe may
+	// have moved the page from sparse into the new dense prefix.
+	if c := ps.denseCell(k.page); c != nil {
+		p := c.Load()
+		return int(p) - 1, p != 0
+	}
 	p, ok := ps.sparse[k.page]
-	ps.mu.Unlock()
 	return int(p) - 1, ok
 }
 
@@ -103,44 +117,37 @@ func (x *residentIndex) del(k resKey) {
 		return
 	}
 	ps := v.(*posSlots)
-	if !ps.storeDense(k.page, 0) {
-		ps.mu.Lock()
-		delete(ps.sparse, k.page)
-		ps.mu.Unlock()
+	if c := ps.denseCell(k.page); c != nil {
+		c.Store(0)
+		return
 	}
+	ps.mu.Lock()
+	if c := ps.denseCell(k.page); c != nil {
+		c.Store(0) // a racing grow adopted the page
+	} else {
+		delete(ps.sparse, k.page)
+	}
+	ps.mu.Unlock()
 }
 
 func (x *residentIndex) set(k resKey, v int32) {
 	ps := x.slots(k.seg)
-	if ps.storeDense(k.page, v) {
+	if c := ps.denseCell(k.page); c != nil {
+		c.Store(v)
 		return
 	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	cells := ps.dense.Load()
-	cur := 0
-	if cells != nil {
-		cur = len(*cells)
+	if c := ps.denseCell(k.page); c != nil {
+		c.Store(v) // a racing grow covered the page
+		return
 	}
+	cur := ps.denseLen()
 	if k.page >= 0 && k.page < posDenseMax &&
-		(k.page < posDenseDirect || k.page < int64(2*cur)) {
-		// Grow the dense prefix under the mutex, then publish. Doubling
-		// amortizes the copies the old append-by-one loop paid per page.
-		want := k.page + 1
-		if d := int64(2 * cur); d > want {
-			want = d
-		}
-		if want > posDenseMax {
-			want = posDenseMax
-		}
-		grown := make([]atomic.Int32, want)
-		if cells != nil {
-			for i := range *cells {
-				grown[i].Store((*cells)[i].Load())
-			}
-		}
-		grown[k.page].Store(v)
-		ps.dense.Store(&grown)
+		(k.page < posDenseDirect || k.page < 2*cur) {
+		// Doubling amortizes the spine copies over the pages it covers.
+		ps.grow(max(k.page+1, 2*cur))
+		ps.denseCell(k.page).Store(v)
 		return
 	}
 	if v == 0 {
@@ -153,22 +160,52 @@ func (x *residentIndex) set(k resKey, v int32) {
 	ps.sparse[k.page] = v
 }
 
-// storeDense writes v into the dense cell for page if the prefix covers it,
-// reporting success. The re-check closes the race with a concurrent grow: a
-// grower copies cell values under the mutex, so a store into the old array
-// may be missed — if the array pointer moved, redo the store into the new
-// one.
-func (ps *posSlots) storeDense(page int64, v int32) bool {
-	for {
-		cells := ps.dense.Load()
-		if cells == nil || uint64(page) >= uint64(len(*cells)) {
-			return false
-		}
-		(*cells)[page].Store(v)
-		if ps.dense.Load() == cells {
-			return true
+// grow extends the dense prefix to cover at least pages pages (capped at
+// posDenseMax) and publishes it. The caller holds ps.mu, or owns ps before
+// publishing it. Existing chunks are shared, not copied, and every sparse
+// page the grown prefix now covers moves into its cell, so a page parked in
+// sparse before the growth is never shadowed behind an empty dense cell.
+func (ps *posSlots) grow(pages int64) {
+	pages = min(pages, posDenseMax)
+	var spine []*posCells
+	if old := ps.dense.Load(); old != nil {
+		spine = *old
+	}
+	n := int((pages + posChunk - 1) / posChunk)
+	if n <= len(spine) {
+		return
+	}
+	grown := make([]*posCells, n)
+	copy(grown, spine)
+	fresh := make([]posCells, n-len(spine))
+	for i := range fresh {
+		grown[len(spine)+i] = &fresh[i]
+	}
+	covered := int64(n) * posChunk
+	for page, pv := range ps.sparse {
+		if page >= 0 && page < covered {
+			grown[page/posChunk][page%posChunk].Store(pv)
+			delete(ps.sparse, page)
 		}
 	}
+	ps.dense.Store(&grown)
+}
+
+// denseLen reports how many pages the dense prefix covers.
+func (ps *posSlots) denseLen() int64 {
+	if spine := ps.dense.Load(); spine != nil {
+		return int64(len(*spine)) * posChunk
+	}
+	return 0
+}
+
+// denseCell returns page's dense cell if the prefix covers it, else nil.
+func (ps *posSlots) denseCell(page int64) *atomic.Int32 {
+	spine := ps.dense.Load()
+	if spine == nil || uint64(page) >= uint64(len(*spine))*posChunk {
+		return nil
+	}
+	return &(*spine)[page/posChunk][page%posChunk]
 }
 
 // dropSeg releases a deleted segment's slab so the index does not retain

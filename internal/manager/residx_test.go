@@ -64,13 +64,47 @@ func TestResidentIndexPresize(t *testing.T) {
 	x.presize(10000)
 	k := resKey{seg: segs[0], page: 9999}
 	x.put(k, 42)
-	ps := x.slots(segs[0])
-	cells := ps.dense.Load()
-	if cells == nil || len(*cells) < 10000 {
-		t.Fatalf("dense prefix not presized: %v", cells)
+	if n := x.slots(segs[0]).denseLen(); n < 10000 {
+		t.Fatalf("dense prefix not presized: covers %d pages", n)
 	}
 	if got, ok := x.get(k); !ok || got != 42 {
 		t.Fatalf("get = %d,%v want 42,true", got, ok)
+	}
+}
+
+// TestResidentIndexDenseGrowthAdoptsSparse pins the shadowing bug: pages
+// >= posDenseDirect touched before the dense prefix reaches them park in
+// sparse; growing the prefix over them must move them into the dense cells,
+// not hide them behind empty ones. Out-of-order first touch — a Zipf
+// reference string over a large segment — produces exactly this shape.
+func TestResidentIndexDenseGrowthAdoptsSparse(t *testing.T) {
+	segs := residxTestSegs(t, 1)
+	x := newResidentIndex()
+	early := []int64{posDenseDirect, 5_000, 9_000, 20_000}
+	for i, page := range early {
+		x.put(resKey{seg: segs[0], page: page}, 100+i)
+	}
+	// Walk the prefix up over every early page in admitted steps.
+	for i, page := range []int64{10, posDenseDirect - 1, 6_000, 12_000, 23_000} {
+		x.put(resKey{seg: segs[0], page: page}, i)
+	}
+	ps := x.slots(segs[0])
+	if ps.denseLen() <= 20_000 {
+		t.Fatal("dense prefix did not grow over the early pages")
+	}
+	for i, page := range early {
+		k := resKey{seg: segs[0], page: page}
+		if got, ok := x.get(k); !ok || got != 100+i {
+			t.Fatalf("get(page %d) = %d,%v after dense growth, want %d,true", page, got, ok, 100+i)
+		}
+		if _, inSparse := ps.sparse[page]; inSparse {
+			t.Fatalf("page %d left in sparse after the prefix covered it", page)
+		}
+	}
+	// A del of an adopted page must clear it for good.
+	x.del(resKey{seg: segs[0], page: 9_000})
+	if _, ok := x.get(resKey{seg: segs[0], page: 9_000}); ok {
+		t.Fatal("adopted page present after del")
 	}
 }
 

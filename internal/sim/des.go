@@ -218,8 +218,9 @@ func (e *Env) After(d time.Duration, fn func()) { e.shards[0].After(d, fn) }
 // the process's own body function.
 type Proc struct {
 	shard  *Shard
-	resume chan struct{}
+	resume chan struct{} // made when the process starts
 	name   string
+	body   func(p *Proc) // set until the first dispatch starts the process
 }
 
 // Name returns the name the process was started with.

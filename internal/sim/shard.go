@@ -140,20 +140,30 @@ func (s *Shard) Go(name string, body func(p *Proc)) *Proc {
 }
 
 // GoAt is like Go but the process starts at absolute local virtual time t.
+// Only the start event is queued here: the process's goroutine is created
+// by its first dispatch, so a long arrival stream scheduled up front costs
+// no parked goroutines (and no stacks for the GC to scan) until each
+// process is due, and a process never dispatched never starts at all.
 func (s *Shard) GoAt(t time.Duration, name string, body func(p *Proc)) *Proc {
 	if t < s.clock.Now() {
 		panic("sim: process scheduled to start in the past")
 	}
-	p := &Proc{shard: s, resume: make(chan struct{}), name: name}
+	p := &Proc{shard: s, name: name, body: body}
 	s.active++
+	s.push(event{at: t, proc: p})
+	return p
+}
+
+// start launches a process's goroutine at its first dispatch.
+func (s *Shard) start(p *Proc) {
+	body := p.body
+	p.body = nil
+	p.resume = make(chan struct{})
 	go func() {
-		<-p.resume // wait for first dispatch
 		body(p)
 		s.active--
 		s.parked <- struct{}{} // signal completion to the scheduler
 	}()
-	s.push(event{at: t, proc: p})
-	return p
 }
 
 // Wake schedules parked process q to resume at q's shard's current virtual
@@ -190,12 +200,16 @@ func (s *Shard) Send(dst *Shard, at time.Duration, fn func()) {
 	dst.inboxMu.Unlock()
 }
 
-// dispatch runs one popped event: resume its process and wait for the park,
-// or invoke the timer callback.
+// dispatch runs one popped event: start or resume its process and wait for
+// the park, or invoke the timer callback.
 func (s *Shard) dispatch(ev event) {
 	s.processed++
-	if ev.proc != nil {
-		ev.proc.resume <- struct{}{}
+	if p := ev.proc; p != nil {
+		if p.body != nil {
+			s.start(p)
+		} else {
+			p.resume <- struct{}{}
+		}
 		<-s.parked // run until it parks or finishes
 	} else {
 		ev.fn()

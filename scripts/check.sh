@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # check.sh — the full local gate: formatting, vet, build, race-enabled
-# tests, and a one-iteration benchmark smoke so the harness benchmarks
-# never rot. Run from anywhere inside the repo.
+# tests, the nested perfbench module's tests, and a one-iteration benchmark
+# smoke so the harness benchmarks never rot. Run from anywhere inside the
+# repo.
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 
@@ -25,6 +26,9 @@ go build ./examples/...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== perfbench module tests (nested module, not seen by ./...) =="
+(cd perfbench && go test ./...)
+
 echo "== chaos suite (fault injection + lock-free structure hammers, -race) =="
 go test -race -run Chaos -count=1 ./internal/core ./internal/spcm ./internal/kernel ./internal/manager ./internal/sim
 
@@ -41,6 +45,8 @@ echo "== bench smoke (1 iteration) =="
 go test -bench=Harness -benchtime=1x -run='^$' .
 go test -bench=DeliveryPlane -benchtime=1x -run='^$' ./internal/experiments
 go test -bench=BatchMigrate -benchtime=1x -run='^$' ./internal/kernel
+go test -bench=LockManagerCommit -benchtime=1x -run='^$' ./internal/db
+go test -bench=Table4 -benchtime=1x -run='^$' ./internal/experiments
 
 echo "== policy shootout smoke (2 policies x 1 workload) =="
 policy_tmp=$(mktemp)
