@@ -66,7 +66,7 @@ func BenchmarkHarnessTables(b *testing.B) {
 	tasks := []harness.Task[*experiments.Report]{
 		{Name: "table1", Run: experiments.Table1},
 		{Name: "tables2-3", Run: experiments.Tables23},
-		{Name: "ablations", Run: experiments.Ablations},
+		{Name: "ablations", Run: experiments.Modes{}.Ablations},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

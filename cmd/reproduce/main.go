@@ -21,13 +21,13 @@
 //	reproduce -profile out/          # write mutex/block pprof profiles to a directory
 //	reproduce -scale                 # wall-clock scale sweep -> BENCH_scale.json
 //	reproduce -scalediff             # diff the last two scale sweeps and exit
-//	reproduce -super                 # enable the superpage extent fast path
+//	reproduce -super                 # boot the tables' machines with superpages on
 //	reproduce -supersweep            # superpage sweep -> BENCH_super.json
 //	reproduce -superdiff             # diff the last two superpage sweeps and exit
 //	reproduce -policy                # replacement-policy shootout -> BENCH_policy.json
 //	reproduce -policy -policies lru,s3fifo -policyworkloads mixed
 //	reproduce -policydiff            # diff the last two shootout sweeps and exit
-//	reproduce -reclaim lru           # boot-default replacement policy for the tables
+//	reproduce -reclaim lru           # replacement policy for the tables' managers
 //	reproduce -timeengine sharded    # sharded virtual-time engine (golden stays identical)
 //	reproduce -time                  # virtual-time engine scaling sweep -> BENCH_time.json
 //	reproduce -time -timeshards 1,4  # sweep over chosen shard counts
@@ -50,7 +50,6 @@ import (
 	"epcm/internal/harness"
 	"epcm/internal/kernel"
 	"epcm/internal/manager"
-	"epcm/internal/sim"
 )
 
 // trajectory is the BENCH_reproduce.json record: one wall-clock and
@@ -91,7 +90,7 @@ func main() {
 	scaleFaults := flag.Int("scalefaults", 0, "per-manager base fault count for the -scale sweep (default 32768)")
 	scaleFile := flag.String("scalefile", "BENCH_scale.json", "append-only trajectory file for the -scale sweep")
 	scaleDiff := flag.Bool("scalediff", false, "print a per-cell diff of the last two sweeps in BENCH_scale.json and exit")
-	super := flag.Bool("super", false, "enable the superpage extent fast path process-wide (off by default; the golden tables assume it off)")
+	super := flag.Bool("super", false, "boot the tables' machines with the superpage extent plane on (off by default)")
 	superSweep := flag.Bool("supersweep", false, "run the superpage sweep (managers x {base, super}) and append it to -superfile")
 	superManagers := flag.String("supermanagers", "8,16", "comma-separated manager counts for the -supersweep")
 	superFaults := flag.Int("superfaults", 0, "per-manager base fault count for the -supersweep (default 32768)")
@@ -103,7 +102,7 @@ func main() {
 	policyRefs := flag.Int("policyrefs", 0, "reference-string length per shootout cell (default 20000)")
 	policyOut := flag.String("policyout", "BENCH_policy.json", "append-only trajectory file for the -policy shootout")
 	policyDiff := flag.Bool("policydiff", false, "print a per-cell diff of the last two sweeps in the -policyout file and exit")
-	reclaim := flag.String("reclaim", "", "boot-default replacement policy for all managers: clock, lru, lfu, s3fifo or mglru")
+	reclaim := flag.String("reclaim", "", "replacement policy of the tables' managers that name none: clock, lru, lfu, s3fifo or mglru")
 	timeEngine := flag.String("timeengine", "serial", "virtual-time engine: serial (golden reference) or sharded (windowed conservative)")
 	timeTbl := flag.Bool("time", false, "run the virtual-time engine scaling sweep and append it to -timefile")
 	timeShards := flag.String("timeshards", "1,2,4,8", "comma-separated shard counts for the -time sweep")
@@ -147,20 +146,8 @@ func main() {
 		os.Stdout.WriteString(out)
 		return
 	}
-	if *reclaim != "" {
-		if err := manager.SetBootPolicy(*reclaim); err != nil {
-			fmt.Fprintln(os.Stderr, "reproduce:", err)
-			os.Exit(2)
-		}
-	}
-	kernel.SetBatchOps(*batch)
-	kernel.SetVectoredDelivery(*vector)
-	kernel.SetSuperpages(*super)
-	if err := kernel.SetBootScheduler(*sched); err != nil {
-		fmt.Fprintln(os.Stderr, "reproduce:", err)
-		os.Exit(2)
-	}
-	if err := sim.SetBootTimeEngine(*timeEngine); err != nil {
+	modes, err := parseModes(*sched, *timeEngine, *reclaim, *batch, *vector, *super)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "reproduce:", err)
 		os.Exit(2)
 	}
@@ -189,16 +176,16 @@ func main() {
 		os.Exit(2)
 	}
 	if *table == 0 || *table == 1 {
-		add("table1", experiments.Table1)
+		add("table1", modes.Table1)
 	}
 	if *table == 0 || *table == 2 || *table == 3 {
-		add("tables2-3", experiments.Tables23)
+		add("tables2-3", modes.Tables23)
 	}
 	if *table == 0 || *table == 4 {
-		add("table4", func() (*experiments.Report, error) { return experiments.Table4(*txns, *seed) })
+		add("table4", func() (*experiments.Report, error) { return modes.Table4(*txns, *seed) })
 	}
 	if *ablations {
-		add("ablations", experiments.Ablations)
+		add("ablations", modes.Ablations)
 	}
 	var planeRuns []experiments.PlaneResult
 	if *planeTbl {
@@ -251,8 +238,8 @@ func main() {
 		}
 	}
 	if *scale {
-		// The sweep toggles the process-global batch switch per cell, so it
-		// runs by itself after the harness tasks have drained.
+		// The sweep measures wall time per cell, so it runs by itself after
+		// the harness tasks have drained.
 		mgrs, err := parseScaleManagers(*scaleManagers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "reproduce:", err)
@@ -275,9 +262,8 @@ func main() {
 		}
 	}
 	if *superSweep {
-		// Each cell toggles the process-global superpage and batch
-		// switches, so the sweep runs by itself after the harness tasks
-		// have drained.
+		// The sweep measures wall time per cell, so it runs by itself after
+		// the harness tasks have drained.
 		mgrs, err := parseManagers(*superManagers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "reproduce:", err)
@@ -320,9 +306,8 @@ func main() {
 	}
 
 	if *policyTbl {
-		// Each cell boots its own kernel and toggles no process globals, but
-		// the allocs/fault column wants a quiet heap, so run after the
-		// harness tasks have drained.
+		// Each cell boots its own kernel, but the allocs/fault column wants
+		// a quiet heap, so run after the harness tasks have drained.
 		rep, sweep, err := experiments.PolicyShootout(experiments.ShootoutOptions{
 			Policies:  splitCSV(*policiesFlag),
 			Workloads: splitCSV(*policyWorkloads),
@@ -357,6 +342,39 @@ func main() {
 		}
 		os.Exit(1)
 	}
+}
+
+// parseModes builds the Modes the tables run under from the mode flags,
+// rejecting unknown scheduler, time-engine and policy names. -vector=false
+// is a vector cap of one fault per upcall.
+func parseModes(sched, timeEngine, reclaim string, batch, vector, super bool) (experiments.Modes, error) {
+	m := experiments.Modes{
+		Kernel: kernel.Config{NoBatch: !batch, Superpages: super},
+		Policy: reclaim,
+	}
+	if !vector {
+		m.Kernel.VectorCap = 1
+	}
+	switch sched {
+	case "", "serial":
+	case "concurrent":
+		m.Kernel.Concurrent = true
+	default:
+		return m, fmt.Errorf("unknown scheduler %q (want serial or concurrent)", sched)
+	}
+	switch timeEngine {
+	case "", "serial":
+	case "sharded":
+		m.ShardedTime = true
+	default:
+		return m, fmt.Errorf("unknown time engine %q (want serial or sharded)", timeEngine)
+	}
+	if reclaim != "" {
+		if _, err := manager.NewPolicy(reclaim); err != nil {
+			return m, err
+		}
+	}
+	return m, nil
 }
 
 // writeProfiles dumps the mutex and block profiles collected during the

@@ -69,7 +69,7 @@ func main() {
 	memPages := *memMB * 256
 
 	if *system == "vpp" || *system == "both" {
-		r, err := workload.NewVppRunner(memPages)
+		r, err := workload.NewVppRunner(memPages, kernel.Config{}, nil)
 		if err != nil {
 			fatal(err)
 		}

@@ -93,25 +93,13 @@ var (
 // (MigratePagesBatch / ModifyPageFlagsBatch).
 type PageRange = kernel.PageRange
 
-// Batched-operation helpers re-exported from the kernel: CoalesceRanges
-// groups parallel source/destination page lists into the fewest ranges;
-// SetBatchOps/BatchOps toggle the batched fast paths (the ablation arm of
-// the scale sweep).
-var (
-	CoalesceRanges = kernel.CoalesceRanges
-	SetBatchOps    = kernel.SetBatchOps
-	BatchOps       = kernel.BatchOps
-)
-
-// Superpage-plane helpers re-exported from the kernel. SetSuperpages is the
-// process-wide half of the extent gate (Config.Superpages flips it at boot);
-// the per-manager half is ManagerConfig.ExtentOrder. Both must be set for
-// any extent to be promoted, so the default configuration never changes the
-// golden reproduction output.
-var (
-	SetSuperpages     = kernel.SetSuperpages
-	SuperpagesEnabled = kernel.SuperpagesEnabled
-)
+// CoalesceRanges groups parallel source/destination page lists into the
+// fewest PageRanges. Config.Superpages turns on one machine's superpage
+// extent plane; the per-manager half of that gate is
+// ManagerConfig.ExtentOrder. Both must be set for any extent to be
+// promoted, so the default configuration never changes the golden
+// reproduction output.
+var CoalesceRanges = kernel.CoalesceRanges
 
 // Generic is the specializable generic segment manager of the paper's §2.2.
 type Generic = manager.Generic
@@ -149,15 +137,13 @@ type PolicyHost = manager.PolicyHost
 type PageID = manager.PageID
 
 // Policy registry re-exports: NewPolicy constructs a registered policy by
-// name, PolicyNames lists them, RegisterPolicy adds a custom one, and
-// SetBootPolicy/BootPolicy select the process-wide default for managers
-// that do not choose explicitly.
+// name, PolicyNames lists them and RegisterPolicy adds a custom one.
+// Managers that do not choose a policy get clock, or the system's
+// Config.ReclaimPolicy.
 var (
 	NewPolicy      = manager.NewPolicy
 	PolicyNames    = manager.PolicyNames
 	RegisterPolicy = manager.RegisterPolicy
-	SetBootPolicy  = manager.SetBootPolicy
-	BootPolicy     = manager.BootPolicy
 )
 
 // SetSegmentPolicy binds a replacement policy instance to one managed

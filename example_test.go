@@ -274,19 +274,18 @@ func ExampleConcurrentScheduler() {
 // then promotes each extent to one span mapping entry and one wide TLB way.
 // 256 sequential page touches thus take 16 faults, and the whole working
 // set is reachable through 16 translation entries instead of 256. Both
-// halves of the gate must be set — Config.Superpages (process-wide) and
+// halves of the gate must be set — Config.Superpages (per machine) and
 // ManagerConfig.ExtentOrder (per manager) — so default-configured runs are
 // unaffected.
 func Example_superpages() {
 	sys, err := epcm.Boot(epcm.Config{
 		MemoryBytes: 8 << 20,
-		Superpages:  true, // process-wide switch (same as epcm.SetSuperpages)
+		Superpages:  true, // this machine only
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sys.Shutdown()
-	defer epcm.SetSuperpages(false) // process-wide: restore the default
 
 	mgr, _, err := sys.NewAppManager(epcm.ManagerConfig{
 		Name:        "grid",

@@ -1,7 +1,7 @@
 package core
 
 // Superpage chaos arm: the victim manager runs with the extent plane on
-// (ExtentOrder 4, superpages enabled process-wide) while the plan kills it
+// (ExtentOrder 4, Config.Superpages on) while the plan kills it
 // mid-fault-storm with storage errors flying. Crash recovery hands its
 // segments to the default manager, whose promotion state starts cold — so
 // adoption must demote every live extent through dropAllExtentsLocked, and
@@ -18,8 +18,7 @@ import (
 )
 
 // chaosSuperSystem is chaosSystem with the superpage plane armed on the
-// victim manager. Boot flips the process-wide switch; the cleanup puts it
-// back so the rest of the suite sees the default.
+// victim manager.
 func chaosSuperSystem(t testing.TB, plan faultinject.Plan, sched string) (*System, *manager.Generic, *kernel.Segment) {
 	t.Helper()
 	sys, err := Boot(Config{
@@ -33,7 +32,6 @@ func chaosSuperSystem(t testing.TB, plan faultinject.Plan, sched string) (*Syste
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Shutdown)
-	t.Cleanup(func() { kernel.SetSuperpages(false) })
 	g, _, err := sys.NewAppManager(manager.Config{
 		Name:        "victim-manager",
 		Backing:     manager.NewSwapBacking(sys.Store),

@@ -52,30 +52,26 @@ type Config struct {
 	// Nil (the default) leaves every seam a dead branch — reproduce
 	// output and benchmarks are unaffected.
 	FaultPlan *faultinject.Plan
-	// Scheduler selects the fault-delivery plane scheduler: "serial" (the
-	// deterministic default), "concurrent" (one worker goroutine per
-	// manager, sharded kernel caches), or "" to keep whatever mode the
-	// process selected with kernel.SetBootScheduler.
+	// Scheduler selects the fault-delivery plane scheduler: "serial" or ""
+	// (the deterministic default), or "concurrent" (one delivery lane per
+	// manager, lock-free kernel caches). It sets kernel.Config.Concurrent.
 	Scheduler string
 	// ReclaimPolicy names the replacement policy managers boot with when
 	// their manager.Config leaves Policy nil: "clock" (the §2.2 default),
 	// "lru", "lfu", "s3fifo" or "mglru". It applies to the default manager
-	// and to NewAppManager; "" keeps the process boot default.
+	// and to NewAppManager; "" means clock.
 	ReclaimPolicy string
-	// TimeEngine selects the virtual-time engine environments built after
-	// this Boot use: "serial" (the golden-reference default) or "sharded"
-	// (per-manager event queues advanced in conservative lookahead
-	// windows); "" keeps whatever mode the process selected with
-	// sim.SetBootTimeEngine. Like Scheduler, it is a process-wide boot
-	// knob, not a per-system one.
-	TimeEngine string
-	// Superpages turns on the process-wide superpage extent plane
-	// (kernel.SetSuperpages): managers configured with a non-zero
+	// Superpages turns on this machine's superpage extent plane
+	// (kernel.Config.Superpages): managers configured with a non-zero
 	// manager.Config.ExtentOrder promote naturally aligned runs of base
 	// pages into single mapping/TLB entries and the kernel applies
-	// extent-granular fault costs. False keeps whatever mode the process
-	// already selected, so the golden-reference runs are unaffected.
+	// extent-granular fault costs. False, the default, is the golden
+	// reference.
 	Superpages bool
+	// VectorCap bounds the faults per vectored upcall under the concurrent
+	// scheduler (kernel.Config.VectorCap): 0 is the kernel default, 1
+	// turns vectoring off.
+	VectorCap int
 }
 
 // System is a booted V++ machine.
@@ -109,6 +105,14 @@ func Boot(cfg Config) (*System, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 1
 	}
+	kcfg := kernel.Config{Superpages: cfg.Superpages, VectorCap: cfg.VectorCap}
+	switch cfg.Scheduler {
+	case "", "serial":
+	case "concurrent":
+		kcfg.Concurrent = true
+	default:
+		return nil, fmt.Errorf("core: unknown scheduler %q (want serial or concurrent)", cfg.Scheduler)
+	}
 	mem := phys.NewMemory(phys.Config{
 		FrameSize:   cfg.FrameSize,
 		TotalBytes:  cfg.MemoryBytes,
@@ -118,28 +122,7 @@ func Boot(cfg Config) (*System, error) {
 	})
 	clock := &sim.Clock{}
 	cost := sim.DECstation5000()
-	k := kernel.New(mem, clock, cost, kernel.Config{})
-	switch cfg.Scheduler {
-	case "": // keep the process-wide boot mode
-	case "serial":
-		if k.Scheduler().Concurrent() {
-			k.SetScheduler(kernel.NewSerialScheduler(k))
-		}
-	case "concurrent":
-		if !k.Scheduler().Concurrent() {
-			k.SetScheduler(kernel.NewConcurrentScheduler(k))
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown scheduler %q (want serial or concurrent)", cfg.Scheduler)
-	}
-	if cfg.TimeEngine != "" {
-		if err := sim.SetBootTimeEngine(cfg.TimeEngine); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-	if cfg.Superpages {
-		kernel.SetSuperpages(true)
-	}
+	k := kernel.New(mem, clock, cost, kcfg)
 
 	latency := storage.NetworkServer()
 	if cfg.Storage != nil {

@@ -1,16 +1,15 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"epcm/internal/kernel"
 	"epcm/internal/manager"
-	"epcm/internal/sim"
 )
 
 // superCounts drives the same deterministic superpage workload under the
-// given scheduler/time-engine pair and reports every promotion-plane
-// counter. The counts must be identical in every mode: the superpage plane
+// given scheduler and reports every promotion-plane counter. The counts must be identical in every mode: the superpage plane
 // rides the same determinism contract the golden output does.
 type superCounts struct {
 	promotions, demotions, superOps int64
@@ -18,28 +17,17 @@ type superCounts struct {
 	liveBefore                      int
 }
 
-func runSuperWorkload(t *testing.T, scheduler, timeEngine string) superCounts {
+func runSuperWorkload(t *testing.T, scheduler string) superCounts {
 	t.Helper()
 	s, err := Boot(Config{
 		MemoryBytes: 8 << 20,
 		Scheduler:   scheduler,
-		TimeEngine:  timeEngine,
 		Superpages:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Shutdown()
-	// Boot flips process-wide switches; put them back so later tests see
-	// the defaults.
-	t.Cleanup(func() {
-		kernel.SetSuperpages(false)
-		if timeEngine != "" {
-			if err := sim.SetBootTimeEngine("serial"); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
 	g, _, err := s.NewAppManager(manager.Config{Name: "super-app", ExtentOrder: 4}, 1e6)
 	if err != nil {
 		t.Fatal(err)
@@ -75,37 +63,61 @@ func runSuperWorkload(t *testing.T, scheduler, timeEngine string) superCounts {
 }
 
 // TestSuperpageDeterminismAcrossModes is the promotion/demotion golden
-// test: the serial scheduler, the concurrent scheduler, and the sharded
-// virtual-time engine must produce byte-identical promotion-plane counts
-// for the same workload.
+// test: the serial and the concurrent scheduler must produce
+// byte-identical promotion-plane counts for the same workload.
 func TestSuperpageDeterminismAcrossModes(t *testing.T) {
-	modes := []struct {
-		name, scheduler, timeEngine string
-	}{
-		{"serial", "serial", ""},
-		{"concurrent", "concurrent", ""},
-		{"sharded-time", "serial", "sharded"},
-	}
+	schedulers := []string{"serial", "concurrent"}
 	var ref superCounts
-	for i, m := range modes {
-		got := runSuperWorkload(t, m.scheduler, m.timeEngine)
+	for i, sched := range schedulers {
+		got := runSuperWorkload(t, sched)
 		if got.liveBefore != 16 {
-			t.Errorf("%s: %d live extents after fill, want 16", m.name, got.liveBefore)
+			t.Errorf("%s: %d live extents after fill, want 16", sched, got.liveBefore)
 		}
 		if got.mgr.Promotions != 16 || got.mgr.Denied != 0 || got.mgr.ExtentFills != 16 {
-			t.Errorf("%s: manager stats %+v, want 16 promotions, 16 fills, 0 denied", m.name, got.mgr)
+			t.Errorf("%s: manager stats %+v, want 16 promotions, 16 fills, 0 denied", sched, got.mgr)
 		}
 		if i == 0 {
 			ref = got
 			continue
 		}
 		if got != ref {
-			t.Errorf("%s diverges from %s: %+v vs %+v", m.name, modes[0].name, got, ref)
+			t.Errorf("%s diverges from %s: %+v vs %+v", sched, schedulers[0], got, ref)
 		}
 	}
 }
 
-// With superpages enabled globally but ExtentOrder left zero, the manager
+// TestSuperpagesStayWithTheirMachine: booting one system with superpages
+// must not turn them on for a system booted after it with the default
+// config. PromoteExtent checks the plane before anything else, so an empty
+// segment tells the two apart.
+func TestSuperpagesStayWithTheirMachine(t *testing.T) {
+	super, err := Boot(Config{MemoryBytes: 1 << 20, Superpages: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer super.Shutdown()
+	plain, err := Boot(Config{MemoryBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Shutdown()
+	for _, c := range []struct {
+		name string
+		sys  *System
+		off  bool
+	}{{"superpages", super, false}, {"default", plain, true}} {
+		seg, err := c.sys.Kernel.CreateSegment("data", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = c.sys.Kernel.PromoteExtent(kernel.AppCred, seg, 0, 4)
+		if off := errors.Is(err, kernel.ErrSuperpagesOff); off != c.off {
+			t.Errorf("%s system: PromoteExtent err = %v, want superpages off = %v", c.name, err, c.off)
+		}
+	}
+}
+
+// With Config.Superpages on but ExtentOrder left zero, the manager
 // never promotes; with ExtentOrder set but the kernel switch off, the same.
 // Either half of the gate alone must leave the plane cold.
 func TestSuperpageGateHalves(t *testing.T) {
@@ -123,7 +135,6 @@ func TestSuperpageGateHalves(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Shutdown()
-			t.Cleanup(func() { kernel.SetSuperpages(false) })
 			g, _, err := s.NewAppManager(manager.Config{Name: "cold", ExtentOrder: tc.order}, 1e6)
 			if err != nil {
 				t.Fatal(err)

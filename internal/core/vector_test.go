@@ -41,6 +41,15 @@ func (b slowZeroBacking) Fill(seg *kernel.Segment, page int64, frame *phys.Frame
 	return b.ZeroFill.Fill(seg, page, frame)
 }
 
+// vectorCap maps the vectoring switch to Config.VectorCap: off is a cap of
+// one fault per upcall.
+func vectorCap(on bool) int {
+	if on {
+		return 0
+	}
+	return 1
+}
+
 // vecDiffCounts is what one run of the workload produced, in quantities
 // that must be invariant under delivery vectoring.
 type vecDiffCounts struct {
@@ -57,11 +66,7 @@ type vecDiffCounts struct {
 // chain, and the single chain is the golden-reference shape).
 func runVecDiff(t *testing.T, sched, policy string, vector bool, drivers int, pagesPerDriver int64) (vecDiffCounts, int64) {
 	t.Helper()
-	prev := kernel.VectoredDelivery()
-	kernel.SetVectoredDelivery(vector)
-	defer kernel.SetVectoredDelivery(prev)
-
-	sys, err := Boot(Config{MemoryBytes: 16 << 20, Scheduler: sched, ReclaimPolicy: policy})
+	sys, err := Boot(Config{MemoryBytes: 16 << 20, Scheduler: sched, ReclaimPolicy: policy, VectorCap: vectorCap(vector)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +168,7 @@ func TestVectoredDifferentialCountsPerPolicy(t *testing.T) {
 // never queues two faults and so never forms a batch.
 func TestVectoredCostParitySingleChain(t *testing.T) {
 	elapsed := func(vector bool) time.Duration {
-		prev := kernel.VectoredDelivery()
-		kernel.SetVectoredDelivery(vector)
-		defer kernel.SetVectoredDelivery(prev)
-		sys, err := Boot(Config{MemoryBytes: 16 << 20, Scheduler: "concurrent"})
+		sys, err := Boot(Config{MemoryBytes: 16 << 20, Scheduler: "concurrent", VectorCap: vectorCap(vector)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,6 +82,10 @@ type Params struct {
 	DCIndexProb float64
 	// Seed drives all randomness.
 	Seed uint64
+	// ShardedTime runs the system on a single-shard sharded virtual-time
+	// engine instead of the serial one: the same event order, drained
+	// through the windowed machinery.
+	ShardedTime bool
 }
 
 // DefaultParams is the paper's configuration.
@@ -152,6 +156,9 @@ type System struct {
 func New(cfg MemoryConfig, p Params) *System {
 	clock := &sim.Clock{}
 	env := sim.NewEnv(clock)
+	if p.ShardedTime {
+		env = sim.NewShardedEnv(clock, 1, 0)
+	}
 	s := &System{
 		p:     p,
 		cfg:   cfg,

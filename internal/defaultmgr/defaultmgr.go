@@ -38,8 +38,8 @@ type Config struct {
 	// instead of the realistic separate-server IPC path. Used only by
 	// ablation benchmarks; the real default manager is a separate server.
 	SameProcess bool
-	// Policy is the replacement policy for the embedded Generic; nil keeps
-	// the boot default (normally the §2.2 clock).
+	// Policy is the replacement policy for the embedded Generic; nil means
+	// the §2.2 clock.
 	Policy manager.Policy
 }
 

@@ -59,15 +59,44 @@ func header(b *bytes.Buffer, s string) {
 	b.WriteByte('\n')
 }
 
+// Modes is one point of the mode lattice the paper tables run at: the
+// kernel config every machine they build boots with, the virtual-time
+// engine of the Table 4 systems, and the replacement policy of every
+// manager that names none. The zero value is the golden reference.
+type Modes struct {
+	Kernel      kernel.Config
+	ShardedTime bool   // Table 4 on the single-shard sharded time engine
+	Policy      string // registered policy name; "" means clock
+}
+
+// policy returns a fresh instance of the named policy, or nil (clock).
+func (m Modes) policy() manager.Policy {
+	if m.Policy == "" {
+		return nil
+	}
+	p, err := manager.NewPolicy(m.Policy)
+	check(err)
+	return p
+}
+
+// Table1 runs Modes{}.Table1.
+func Table1() (*Report, error) { return Modes{}.Table1() }
+
+// Tables23 runs Modes{}.Tables23.
+func Tables23() (*Report, error) { return Modes{}.Tables23() }
+
+// Table4 runs Modes{}.Table4.
+func Table4(txns int, seed uint64) (*Report, error) { return Modes{}.Table4(txns, seed) }
+
 // Table1 measures the system primitives through the real code paths.
-func Table1() (*Report, error) {
+func (m Modes) Table1() (*Report, error) {
 	rep := &Report{Table: "table1"}
 	b := &bytes.Buffer{}
 	header(b, "Table 1: System Primitive Times (microseconds)")
 
-	vppFault := measureVppFault(kernel.DeliverSameProcess)
-	vppMgr := measureVppFault(kernel.DeliverSeparateProcess)
-	vppRead, vppWrite := measureVppIO()
+	vppFault := m.measureVppFault(kernel.DeliverSameProcess)
+	vppMgr := m.measureVppFault(kernel.DeliverSeparateProcess)
+	vppRead, vppWrite := m.measureVppIO()
 	ultFault, ultRead, ultWrite, ultUser := measureUltrix()
 
 	fmt.Fprintf(b, "%-38s %10s %10s %10s\n", "Measurement", "V++", "Ultrix", "Paper")
@@ -102,12 +131,12 @@ func Table1() (*Report, error) {
 	return rep, nil
 }
 
-func measureVppFault(d kernel.DeliveryMode) time.Duration {
+func (m Modes) measureVppFault(d kernel.DeliveryMode) time.Duration {
 	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 8 << 20, StoreData: true})
 	var clock sim.Clock
-	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
+	k := kernel.New(mem, &clock, sim.DECstation5000(), m.Kernel)
 	s := spcm.New(k, spcm.DefaultPolicy())
-	g, err := manager.NewGeneric(k, manager.Config{Name: "m", Delivery: d, Source: s})
+	g, err := manager.NewGeneric(k, manager.Config{Name: "m", Delivery: d, Source: s, Policy: m.policy()})
 	check(err)
 	s.Register(g, "m", 1e9)
 	seg, err := g.CreateManagedSegment("seg")
@@ -118,14 +147,14 @@ func measureVppFault(d kernel.DeliveryMode) time.Duration {
 	return clock.Now() - start
 }
 
-func measureVppIO() (read, write time.Duration) {
+func (m Modes) measureVppIO() (read, write time.Duration) {
 	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 8 << 20, StoreData: true})
 	var clock sim.Clock
-	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
+	k := kernel.New(mem, &clock, sim.DECstation5000(), m.Kernel)
 	store := storage.NewStore(&clock, storage.NetworkServer(), 4096)
 	s := spcm.New(k, spcm.DefaultPolicy())
 	fb := manager.NewFileBacking(store)
-	g, err := manager.NewGeneric(k, manager.Config{Name: "m", Source: s, Backing: fb})
+	g, err := manager.NewGeneric(k, manager.Config{Name: "m", Source: s, Backing: fb, Policy: m.policy()})
 	check(err)
 	s.Register(g, "m", 1e9)
 	seg, err := g.CreateManagedSegment("file")
@@ -173,7 +202,7 @@ func measureUltrix() (fault, read, write, user time.Duration) {
 
 // Tables23 reproduces the application benchmarks (elapsed time and VM
 // system activity).
-func Tables23() (*Report, error) {
+func (m Modes) Tables23() (*Report, error) {
 	rep := &Report{Table: "tables2-3", OK: true}
 	b := &bytes.Buffer{}
 	header(b, "Table 2: Application Elapsed Time (seconds) / Table 3: VM System Activity")
@@ -182,7 +211,7 @@ func Tables23() (*Report, error) {
 	for _, spec := range workload.All() {
 		cal, err := workload.Calibrated(spec)
 		check(err)
-		vr, err := workload.NewVppRunner(0)
+		vr, err := workload.NewVppRunner(0, m.Kernel, m.policy())
 		check(err)
 		ve, vc, err := workload.Run(vr, cal)
 		check(err)
@@ -224,11 +253,12 @@ func diffPct(got, want int64) int64 {
 
 // Table4 reproduces the database experiment. txns and seed of 0 keep the
 // defaults.
-func Table4(txns int, seed uint64) (*Report, error) {
+func (m Modes) Table4(txns int, seed uint64) (*Report, error) {
 	rep := &Report{Table: "table4", OK: true}
 	b := &bytes.Buffer{}
 	header(b, "Table 4: Effect of Memory Usage on Transaction Response (ms)")
 	p := db.DefaultParams()
+	p.ShardedTime = m.ShardedTime
 	if txns > 0 {
 		p.Transactions = txns
 	}
@@ -263,7 +293,7 @@ func Table4(txns int, seed uint64) (*Report, error) {
 
 // Ablations prints quick versions of the design-choice ablations (the full
 // versions are the go test -bench=Ablation benchmarks).
-func Ablations() (*Report, error) {
+func (m Modes) Ablations() (*Report, error) {
 	rep := &Report{Table: "ablations", OK: true}
 	b := &bytes.Buffer{}
 	header(b, "Ablations (design choices)")
@@ -278,7 +308,7 @@ func Ablations() (*Report, error) {
 			cost.UltrixUserFaultHandler(), cost.VppMinimalFaultSameProcess()))
 
 	// Replacement policy: cyclic scan, clock vs MRU.
-	clockFaults, mruFaults := replacementAblation()
+	clockFaults, mruFaults := m.replacementAblation()
 	fmt.Fprintf(b, "%-34s clock %d faults, app MRU policy %d faults\n", "replacement selection (cyclic scan)", clockFaults, mruFaults)
 	fmt.Fprintln(b, "\n(run `go test -bench=Ablation` for the full ablation suite)")
 	rep.Events = clockFaults + mruFaults
@@ -290,16 +320,17 @@ func Ablations() (*Report, error) {
 	return rep, nil
 }
 
-func replacementAblation() (clockFaults, mruFaults int64) {
-	run := func(policy func([]manager.Victim) int) int64 {
+func (m Modes) replacementAblation() (clockFaults, mruFaults int64) {
+	run := func(selectVictim func([]manager.Victim) int) int64 {
 		mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 1 << 20, StoreData: false})
 		var clock sim.Clock
-		k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
+		k := kernel.New(mem, &clock, sim.DECstation5000(), m.Kernel)
 		store := storage.NewStore(&clock, storage.LocalDisk(), 4096)
 		pool, err := manager.NewFixedPool(k, 64, 0)
 		check(err)
 		g, err := manager.NewGeneric(k, manager.Config{
-			Name: "scan", Source: pool, Backing: manager.NewSwapBacking(store), SelectVictim: policy,
+			Name: "scan", Source: pool, Backing: manager.NewSwapBacking(store),
+			SelectVictim: selectVictim, Policy: m.policy(),
 		})
 		check(err)
 		seg, err := g.CreateManagedSegment("data")

@@ -15,7 +15,7 @@ func tasks() []harness.Task[*Report] {
 		{Name: "table1", Run: Table1},
 		{Name: "tables2-3", Run: Tables23},
 		{Name: "table4", Run: func() (*Report, error) { return Table4(400, 0) }},
-		{Name: "ablations", Run: Ablations},
+		{Name: "ablations", Run: Modes{}.Ablations},
 	}
 }
 

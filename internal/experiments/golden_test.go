@@ -5,87 +5,75 @@ import (
 	"os"
 	"testing"
 
+	"epcm/internal/kernel"
 	"epcm/internal/manager"
 )
 
-// TestReproduceGolden locks the reproduce output byte-for-byte against
-// testdata/reproduce.golden, captured before the fault plane existed. The
-// plane is compiled in but disarmed (Config.FaultPlan nil leaves every hook
-// seam a dead branch), so this is the regression gate for the plane's
-// zero-overhead claim: if wiring injection seams through storage, kernel
-// delivery or SPCM grants ever perturbs an uninjected run — an extra clock
-// charge, a reordered grant, a different RNG draw — the tables drift and
-// this test names the first divergent byte.
+// TestGoldenModes locks the reproduce output byte-for-byte against
+// testdata/reproduce.golden at every point of the mode lattice the paper
+// tables must be invariant under. Each arm boots its own machines from its
+// own Modes, so the arms run side by side; under -race this is also the
+// check that kernels built with different configs share no mode state.
+//
+//   - default: the reference run. The fault plane is compiled in but
+//     disarmed, so any extra clock charge, reordered grant or RNG draw from
+//     its hook seams shows up here.
+//   - concurrent: the concurrent delivery scheduler; all costs are virtual
+//     time, so the scheduler must not move a byte.
+//   - nobatch: the per-page legacy path of the batched entry points.
+//   - sharded-time: Table 4 on a single-shard sharded engine, which drains
+//     the same event heap in the same (at, seq) order through the windowed
+//     machinery.
+//   - superpages: the extent plane on, with no manager asking for extents.
+//   - vectorcap-1: vectored delivery off.
+//   - clock: the clock policy named explicitly through the registry; it must
+//     be charge-for-charge identical to the built-in default.
 //
 // Regenerate (only after an intentional model change):
 //
 //	go run ./cmd/reproduce > internal/experiments/testdata/reproduce.golden
-func TestReproduceGolden(t *testing.T) {
+func TestGoldenModes(t *testing.T) {
 	want, err := os.ReadFile("testdata/reproduce.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
-	for _, run := range []func() (*Report, error){
-		Table1,
-		Tables23,
-		func() (*Report, error) { return Table4(0, 0) },
+	for _, arm := range []struct {
+		name  string
+		modes Modes
+	}{
+		{"default", Modes{}},
+		{"concurrent", Modes{Kernel: kernel.Config{Concurrent: true}}},
+		{"nobatch", Modes{Kernel: kernel.Config{NoBatch: true}}},
+		{"sharded-time", Modes{ShardedTime: true}},
+		{"superpages", Modes{Kernel: kernel.Config{Superpages: true}}},
+		{"vectorcap-1", Modes{Kernel: kernel.Config{VectorCap: 1}}},
+		{"clock", Modes{Policy: "clock"}},
 	} {
-		rep, err := run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Write(rep.Output)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		i := 0
-		for i < len(want) && i < got.Len() && want[i] == got.Bytes()[i] {
-			i++
-		}
-		t.Fatalf("reproduce output diverged from golden at byte %d (got %d bytes, want %d)\n--- got around divergence ---\n%s",
-			i, got.Len(), len(want), context(got.Bytes(), i))
-	}
-}
-
-// TestGoldenWithExplicitClockPolicy re-runs the golden comparison with the
-// boot replacement policy set explicitly to "clock" via the registry. The
-// pluggable-policy plane extracted the clock sweep out of Generic.Reclaim;
-// this pins that the extraction is charge-for-charge identical — the
-// registry-constructed clock policy must issue the same GetPageAttribute /
-// ModifyPageFlags sequence the inlined sweep did, or the tables drift.
-func TestGoldenWithExplicitClockPolicy(t *testing.T) {
-	prev := manager.BootPolicy()
-	if err := manager.SetBootPolicy("clock"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := manager.SetBootPolicy(prev); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	want, err := os.ReadFile("testdata/reproduce.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	for _, run := range []func() (*Report, error){
-		Table1,
-		Tables23,
-		func() (*Report, error) { return Table4(0, 0) },
-	} {
-		rep, err := run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Write(rep.Output)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		i := 0
-		for i < len(want) && i < got.Len() && want[i] == got.Bytes()[i] {
-			i++
-		}
-		t.Fatalf("explicit clock policy diverged from golden at byte %d\n--- got around divergence ---\n%s",
-			i, context(got.Bytes(), i))
+		arm := arm
+		t.Run(arm.name, func(t *testing.T) {
+			t.Parallel()
+			m := arm.modes
+			var got bytes.Buffer
+			for _, run := range []func() (*Report, error){
+				m.Table1,
+				m.Tables23,
+				func() (*Report, error) { return m.Table4(0, 0) },
+			} {
+				rep, err := run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.Write(rep.Output)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				i := 0
+				for i < len(want) && i < got.Len() && want[i] == got.Bytes()[i] {
+					i++
+				}
+				t.Fatalf("output diverged from golden at byte %d (got %d bytes, want %d)\n--- got around divergence ---\n%s",
+					i, got.Len(), len(want), context(got.Bytes(), i))
+			}
+		})
 	}
 }
 
@@ -93,14 +81,9 @@ func TestGoldenWithExplicitClockPolicy(t *testing.T) {
 // never trigger a reclaim — is identical under every registered policy:
 // the policy plane must be off the minimal-fault path entirely.
 func TestTable1PolicyInvariance(t *testing.T) {
-	prev := manager.BootPolicy()
-	defer func() { _ = manager.SetBootPolicy(prev) }()
 	var base []byte
 	for _, name := range manager.PolicyNames() {
-		if err := manager.SetBootPolicy(name); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := Table1()
+		rep, err := Modes{Policy: name}.Table1()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

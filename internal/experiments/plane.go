@@ -55,15 +55,15 @@ type PlaneOptions struct {
 	// ablation arm of the scale sweep). The zero value measures the real
 	// system: batching on.
 	NoBatch bool
-	// ExtentOrder, when non-zero, runs the superpage arm: the process-wide
-	// superpage switch is turned on for the duration of the run
-	// (saved/restored like the batch toggle) and every manager is
-	// configured with this manager.Config.ExtentOrder, so a sequential
-	// working set is filled extent-at-a-time through contiguous grants.
-	// Zero measures the base-page path with superpages off.
+	// ExtentOrder, when non-zero, runs the superpage arm: the kernel is
+	// booted with superpages on and every manager is configured with this
+	// manager.Config.ExtentOrder, so a sequential working set is filled
+	// extent-at-a-time through contiguous grants. Zero measures the
+	// base-page path with superpages off.
 	ExtentOrder int
 	// NoVector disables vectored fault delivery for this run (the ablation
-	// arm). The zero value measures the real system: vectoring on.
+	// arm, kernel.Config.VectorCap 1). The zero value measures the real
+	// system: vectoring on.
 	NoVector bool
 	// Drivers is how many faulting goroutines drive each manager under the
 	// concurrent scheduler, each covering a contiguous sub-range of the
@@ -140,23 +140,6 @@ func PlaneThroughput(opt PlaneOptions) (*PlaneResult, error) {
 		return nil, fmt.Errorf("experiments: unknown scheduler %q", opt.Scheduler)
 	}
 
-	// The batch toggle is process-global; save and restore it so a sweep
-	// cell with batching off does not leak into the next cell. Sweeps run
-	// cells sequentially, never from parallel harness tasks.
-	prevBatch := kernel.BatchOps()
-	kernel.SetBatchOps(!opt.NoBatch)
-	defer kernel.SetBatchOps(prevBatch)
-	// Likewise the superpage switch: the superpage arm turns it on for the
-	// duration of the run, the base arm pins it off so the cell measures
-	// the per-page path even in a -super process.
-	prevSuper := kernel.SuperpagesEnabled()
-	kernel.SetSuperpages(opt.ExtentOrder > 0)
-	defer kernel.SetSuperpages(prevSuper)
-	// And the vectored-delivery toggle, the third process-global switch.
-	prevVector := kernel.VectoredDelivery()
-	kernel.SetVectoredDelivery(!opt.NoVector)
-	defer kernel.SetVectoredDelivery(prevVector)
-
 	drivers := opt.Drivers
 	if drivers <= 0 || !concurrent {
 		drivers = 1
@@ -174,10 +157,11 @@ func PlaneThroughput(opt PlaneOptions) (*PlaneResult, error) {
 
 	mem := phys.NewMemory(phys.Config{FrameSize: frameSize, TotalBytes: memBytes})
 	var clock sim.Clock
-	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
-	if concurrent {
-		k.SetScheduler(kernel.NewConcurrentScheduler(k))
+	kcfg := kernel.Config{Concurrent: concurrent, NoBatch: opt.NoBatch, Superpages: opt.ExtentOrder > 0}
+	if opt.NoVector {
+		kcfg.VectorCap = 1
 	}
+	k := kernel.New(mem, &clock, sim.DECstation5000(), kcfg)
 	defer k.Scheduler().Stop()
 	// The throughput harness opts into the lane fast paths the default
 	// (golden) configuration leaves off: per-account frame caches over the

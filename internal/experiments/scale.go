@@ -122,8 +122,8 @@ const scaleReps = 5
 const vecDrivers = 4
 
 // ScaleSweep runs the full wall-clock scaling matrix: every manager count ×
-// serial/concurrent × batch on/off, sequentially (each cell toggles the
-// process-global batch switch, so cells must not overlap). It returns the
+// serial/concurrent × batch on/off, sequentially (each cell measures wall
+// time, so cells must not overlap). It returns the
 // rendered report and the sweep for BENCH_scale.json.
 func ScaleSweep(faultsPerManager int, managers []int) (*Report, *PlaneSweep, error) {
 	if len(managers) == 0 {

@@ -9,8 +9,8 @@ import (
 // The superpage sweep is the wall-clock acceptance experiment for the
 // extent fast path: a dense sequential working set is faulted in by N
 // separate-process managers, once over the base-page path and once with
-// superpage extents on (manager.Config.ExtentOrder = superExtentOrder, the
-// process-wide kernel switch enabled per cell by PlaneThroughput). In the
+// superpage extents on (manager.Config.ExtentOrder = superExtentOrder on a
+// kernel booted with Superpages by PlaneThroughput). In the
 // superpage arm one fault fills a whole naturally aligned extent through a
 // contiguous grant and installs a single mapping/TLB entry, so the headline
 // number is resident base pages made per wall second, not faults per

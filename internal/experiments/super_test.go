@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"epcm/internal/kernel"
 )
 
 // The superpage arm must build the same working set as the base arm with
@@ -46,9 +44,6 @@ func TestPlaneThroughputSuperpageArm(t *testing.T) {
 		if want := 2 * (2 * fpm / span); super.ExtentPromotions != want {
 			t.Errorf("%s super arm: %d promotions, want %d", sched, super.ExtentPromotions, want)
 		}
-	}
-	if kernel.SuperpagesEnabled() {
-		t.Fatal("PlaneThroughput leaked the process-global superpage switch on")
 	}
 }
 

@@ -139,7 +139,7 @@ func timeCell(engine string, shards, procsPerShard, steps int) (*TimeCell, error
 			if shards != 1 {
 				return nil, fmt.Errorf("experiments: serial time cell wants 1 shard, got %d", shards)
 			}
-			e = sim.NewSerialEnv(&sim.Clock{})
+			e = sim.NewEnv(&sim.Clock{})
 		case "sharded":
 			e = sim.NewShardedEnv(&sim.Clock{}, shards, 0)
 		default:

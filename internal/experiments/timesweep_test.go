@@ -2,55 +2,8 @@ package experiments
 
 import (
 	"bytes"
-	"os"
 	"testing"
-
-	"epcm/internal/sim"
 )
-
-// TestGoldenShardedTimeEngine re-runs every paper table with the boot
-// virtual-time engine flipped to "sharded" and compares the output
-// byte-for-byte against testdata/reproduce.golden. The differential pin for
-// the engine refactor: a single-shard sharded environment drains the same
-// event heap in the same (at, seq) order through the windowed machinery, so
-// -timeengine sharded must not move a single byte of the paper tables. If a
-// window boundary, merge, or clock hand-off ever perturbs event order, this
-// test names the first divergent byte.
-func TestGoldenShardedTimeEngine(t *testing.T) {
-	prev := sim.BootTimeEngine()
-	if err := sim.SetBootTimeEngine("sharded"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := sim.SetBootTimeEngine(prev); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	want, err := os.ReadFile("testdata/reproduce.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	for _, run := range []func() (*Report, error){
-		Table1,
-		Tables23,
-		func() (*Report, error) { return Table4(0, 0) },
-	} {
-		rep, err := run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Write(rep.Output)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		i := 0
-		for i < len(want) && i < got.Len() && want[i] == got.Bytes()[i] {
-			i++
-		}
-		t.Fatalf("sharded time engine diverged from golden at byte %d\n--- got around divergence ---\n%s",
-			i, context(got.Bytes(), i))
-	}
-}
 
 // TestTimeSweepSmoke runs a miniature sweep end to end: determinism across
 // repetitions is asserted inside timeCell, and the model-throughput scaling

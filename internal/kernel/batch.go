@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"epcm/internal/phys"
@@ -30,21 +29,6 @@ type PageRange struct {
 	To    int64 // first destination page (migrations only)
 	Pages int64 // run length
 }
-
-// batchOps gates the batched fast paths. On (the default), a batch is one
-// kernel call; off, the batched entry points degrade to per-page legacy
-// calls — the ablation arm of the ScaleSweep experiment, reproducing the
-// pre-batching cost structure exactly.
-var batchOps atomic.Bool
-
-func init() { batchOps.Store(true) }
-
-// SetBatchOps enables or disables batched kernel operations process-wide.
-// Set it from the main goroutine before driving traffic.
-func SetBatchOps(on bool) { batchOps.Store(on) }
-
-// BatchOps reports whether batched kernel operations are enabled.
-func BatchOps() bool { return batchOps.Load() }
 
 // batchScratch is the reusable dedup state for multi-range batches; pooling
 // it keeps the batched grant path (hundreds of single-page ranges when the
@@ -105,7 +89,7 @@ func (k *Kernel) MigratePagesBatch(cred Cred, src, dst *Segment, ranges []PageRa
 	if len(ranges) == 0 {
 		return nil
 	}
-	if !batchOps.Load() {
+	if k.cfg.NoBatch {
 		// Ablation mode: the legacy per-page cost structure.
 		for _, r := range ranges {
 			for i := int64(0); i < r.Pages; i++ {
@@ -192,7 +176,7 @@ func (k *Kernel) MigratePagesBatch(cred Cred, src, dst *Segment, ranges []PageRa
 	// destination cache fills and one SuperpageOp replaces 2^order per-page
 	// charges. Off (the default), extentOrderFor is a constant false and the
 	// charge below telescopes to exactly the pre-extent total.
-	super := superpages.Load() && src.fpp == 1 && dst.fpp == 1
+	super := k.cfg.Superpages && src.fpp == 1 && dst.fpp == 1
 	charge := k.cost.KernelCall
 	for _, r := range ranges {
 		if o := extentOrderFor(src, r, super); o > 0 {
@@ -348,7 +332,7 @@ func (k *Kernel) ModifyPageFlagsBatch(cred Cred, s *Segment, ranges []PageRange,
 	if len(ranges) == 0 {
 		return nil
 	}
-	if !batchOps.Load() {
+	if k.cfg.NoBatch {
 		for _, r := range ranges {
 			for i := int64(0); i < r.Pages; i++ {
 				if err := k.ModifyPageFlags(cred, s, r.Page+i, 1, set, clear); err != nil {
@@ -386,7 +370,7 @@ func (k *Kernel) ModifyPageFlagsBatch(cred Cred, s *Segment, ranges []PageRange,
 	// TLB invalidates and MappingUpdates. The extent itself survives — its
 	// pages are all still present. With superpages off the loop below
 	// charges exactly total*MappingUpdate, as before.
-	super := superpages.Load() && s.fpp == 1
+	super := k.cfg.Superpages && s.fpp == 1
 	charge := k.cost.KernelCall + k.cost.ModifyFlags
 	for _, r := range ranges {
 		if ord, ok := s.extents[r.Page]; super && ok && int64(1)<<uint(ord) == r.Pages {
@@ -422,7 +406,7 @@ func (k *Kernel) GetPageAttributesBatch(s *Segment, pages []int64, dst []PageAtt
 	if len(pages) == 0 {
 		return dst, nil
 	}
-	if !batchOps.Load() {
+	if k.cfg.NoBatch {
 		for _, p := range pages {
 			a, err := k.GetPageAttribute(s, p)
 			if err != nil {
@@ -472,7 +456,7 @@ func (k *Kernel) MigrateCoalescedBatch(cred Cred, src, dst *Segment, ranges []Pa
 	if len(ranges) == 0 {
 		return nil
 	}
-	if !batchOps.Load() {
+	if k.cfg.NoBatch {
 		for _, r := range ranges {
 			if err := k.MigrateCoalesced(cred, src, dst, r.Page, r.To, r.Pages, set, clear); err != nil {
 				return err
@@ -575,7 +559,7 @@ func (k *Kernel) MigrateSplitBatch(cred Cred, src, dst *Segment, ranges []PageRa
 	if len(ranges) == 0 {
 		return nil
 	}
-	if !batchOps.Load() {
+	if k.cfg.NoBatch {
 		for _, r := range ranges {
 			if err := k.MigrateSplit(cred, src, dst, r.Page, r.To, r.Pages, set, clear); err != nil {
 				return err

@@ -161,10 +161,8 @@ func TestBatchMigrateCrossRangeDup(t *testing.T) {
 // TestBatchOffFallback: with batching disabled the batch entry points take
 // the legacy per-page path — same final state, per-call legacy costs.
 func TestBatchOffFallback(t *testing.T) {
-	defer SetBatchOps(BatchOps())
-	SetBatchOps(false)
 	const n = 4
-	k := newTestKernel(t)
+	k := newKernelWith(t, Config{NoBatch: true})
 	seg, err := k.CreateSegment("data", 1)
 	if err != nil {
 		t.Fatal(err)

@@ -264,3 +264,59 @@ func (m *popManager) HandleFault(f Fault) error {
 	m.next++
 	return m.k.MigratePages(AppCred, m.free, f.Seg, src, f.Page, 1, FlagRW, 0)
 }
+
+// overflowCopies counts valid overflow entries for key.
+func overflowCopies(tbl *mappingTable, k mapKey) int {
+	n := 0
+	for i := range tbl.overflow[:tbl.ovLen] {
+		if tbl.overflow[i].valid && tbl.overflow[i].key == k {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMappingTableStaleDuplicatePurge is the deterministic regression test
+// for the displacement sweep: when a key re-enters its direct-mapped slot
+// while an out-of-date copy of it sits in the overflow area, the sweep
+// must invalidate that stale copy — otherwise a later displacement of the
+// slot would leave lookup finding the old entry pointer. The scenario is
+// built on a minimal table (2-entry overflow) where collisions are
+// guaranteed.
+func TestMappingTableStaleDuplicatePurge(t *testing.T) {
+	tbl := newMappingTableSized(2, 2)
+	keys := collidingKeys(tbl, 2)
+	a, b := keys[0], keys[1]
+	e1, e2, eb := &pageEntry{}, &pageEntry{}, &pageEntry{}
+
+	tbl.insert(a, e1) // a in slot
+	tbl.insert(b, eb) // a displaced to overflow with entry e1
+	if got := overflowCopies(tbl, a); got != 1 {
+		t.Fatalf("overflow copies of a = %d, want 1", got)
+	}
+
+	// Re-insert a with a NEW entry: b is displaced, and the sweep must
+	// purge the stale (a, e1) overflow copy in the same pass.
+	tbl.insert(a, e2)
+	if got := overflowCopies(tbl, a); got != 0 {
+		t.Fatalf("stale overflow copy of a survived re-insert (%d copies)", got)
+	}
+	if e, ok := tbl.lookup(a); !ok || e != e2 {
+		t.Fatalf("lookup(a) = %v,%v, want fresh entry", e, ok)
+	}
+
+	// Displace a again: lookup must keep returning e2 (from overflow), not
+	// the long-gone e1.
+	tbl.insert(b, eb)
+	if e, ok := tbl.lookup(a); !ok || e != e2 {
+		t.Fatalf("after displacement lookup(a) = %v,%v, want e2 from overflow", e, ok)
+	}
+	if got := overflowCopies(tbl, a); got != 1 {
+		t.Fatalf("overflow copies of a = %d, want exactly 1", got)
+	}
+
+	// And the displaced occupant must never appear twice either.
+	if got := overflowCopies(tbl, b); got > 1 {
+		t.Fatalf("overflow copies of b = %d", got)
+	}
+}

@@ -39,6 +39,51 @@ type Config struct {
 	// MaxFaultRetries bounds how many times one memory reference may fault
 	// before the kernel gives up with ErrFaultLoop.
 	MaxFaultRetries int
+	// Concurrent installs the concurrent delivery scheduler (one lane per
+	// manager, lock-free mapping caches) instead of the deterministic
+	// serial one.
+	Concurrent bool
+	// NoBatch degrades the batched entry points to per-page legacy calls:
+	// the ablation arm of the scale sweep, reproducing the pre-batching
+	// cost structure exactly (batch.go).
+	NoBatch bool
+	// VectorCap bounds how many queued faults one vectored upcall may
+	// carry under the concurrent scheduler (vector.go). Zero or anything
+	// above the lane drain batch selects the drain batch; 1 turns
+	// vectoring off.
+	VectorCap int
+	// Superpages enables the superpage extent plane (superpage.go). Off,
+	// every extent path is bypassed and PromoteExtent returns
+	// ErrSuperpagesOff.
+	Superpages bool
+}
+
+// mapper is the mapping-hash-table surface the kernel uses; implemented by
+// the paper's single mappingTable (serial) and casTable (concurrent). The
+// span methods cache one entry covering a whole superpage extent
+// (superpage.go).
+type mapper interface {
+	lookup(k mapKey) (*pageEntry, bool)
+	insert(k mapKey, e *pageEntry)
+	remove(k mapKey)
+	removeSegment(seg SegID)
+	insertSpan(k mapKey, e *pageEntry, order uint8)
+	removeSpan(k mapKey, order uint8)
+	stats() (hits, misses, spills, drops int64)
+	resetStats()
+}
+
+// translator is the TLB surface; implemented by the R3000 tlb (serial) and
+// casTLB (concurrent). Span methods as on mapper.
+type translator interface {
+	lookup(k mapKey) bool
+	install(k mapKey)
+	invalidate(k mapKey)
+	invalidateSegment(seg SegID)
+	installSpan(k mapKey, order uint8)
+	invalidateSpan(k mapKey, order uint8)
+	stats() (hits, misses int64)
+	resetStats()
 }
 
 // Stats counts kernel activity. The fields correspond to the columns of the
@@ -139,14 +184,17 @@ type Kernel struct {
 // New boots a kernel over the given memory, clock and cost model. Following
 // §2.1, it creates the well-known segment holding all page frames in
 // physical-address order, restricted to privileged (system) credentials.
-// The delivery-plane scheduler defaults to the deterministic serial one
-// (or the mode selected with SetBootScheduler).
+// The delivery-plane scheduler is the deterministic serial one unless
+// cfg.Concurrent is set.
 func New(mem *phys.Memory, clock *sim.Clock, cost *sim.CostModel, cfg Config) *Kernel {
 	if cfg.TLBEntries <= 0 {
 		cfg.TLBEntries = 64
 	}
 	if cfg.MaxFaultRetries <= 0 {
 		cfg.MaxFaultRetries = 8
+	}
+	if cfg.VectorCap <= 0 || cfg.VectorCap > laneDrainBatch {
+		cfg.VectorCap = laneDrainBatch
 	}
 	k := &Kernel{
 		mem:        mem,
@@ -160,7 +208,7 @@ func New(mem *phys.Memory, clock *sim.Clock, cost *sim.CostModel, cfg Config) *K
 		frameOwner: make([]SegID, mem.NumFrames()),
 		framePage:  make([]int64, mem.NumFrames()),
 	}
-	if bootConcurrent {
+	if cfg.Concurrent {
 		k.SetScheduler(NewConcurrentScheduler(k))
 	} else {
 		k.SetScheduler(NewSerialScheduler(k))
@@ -193,6 +241,9 @@ func (k *Kernel) Clock() *sim.Clock { return k.clock }
 
 // Cost returns the machine cost model.
 func (k *Kernel) Cost() *sim.CostModel { return k.cost }
+
+// Superpages reports whether the superpage extent plane is enabled.
+func (k *Kernel) Superpages() bool { return k.cfg.Superpages }
 
 // Stats returns a snapshot of kernel activity counters. TLB and mapping
 // hash-table counters are read through the same accessors ResetStats clears,

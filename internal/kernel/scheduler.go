@@ -360,9 +360,9 @@ func (s *concurrentScheduler) laneOf(m Manager) *lane {
 // drainCells processes every queued message of a lane. The caller must hold
 // the lane's combining token. Messages of a revoked lane are answered nil —
 // lost deliveries, so the faulting processes retry against the adopting
-// manager. With vectored delivery on, a run of consecutive fault messages
-// popped in one batch becomes a single vectored upcall (vector.go); runs of
-// one — the only shape a lightly loaded lane ever pops — take the legacy
+// manager. A run of consecutive fault messages popped in one batch, up to
+// the kernel's VectorCap, becomes a single vectored upcall (vector.go); runs
+// of one — the only shape a lightly loaded lane ever pops — take the legacy
 // per-fault path, so low occupancy passes through untouched.
 func (s *concurrentScheduler) drainCells(ln *lane) {
 	for {
@@ -370,7 +370,6 @@ func (s *concurrentScheduler) drainCells(ln *lane) {
 		if n == 0 {
 			return
 		}
-		vec := vectorOps.Load()
 		for i := 0; i < n; {
 			if ln.revoked.Load() {
 				for ; i < n; i++ {
@@ -382,15 +381,13 @@ func (s *concurrentScheduler) drainCells(ln *lane) {
 				}
 				break
 			}
-			if vec {
-				if run := faultRunLen(ln.buf[i:n]); run > 1 {
-					s.k.processFaultRun(ln, ln.buf[i:i+run])
-					for j := i; j < i+run; j++ {
-						ln.buf[j] = plane.Envelope[delivery]{}
-					}
-					i += run
-					continue
+			if run := faultRunLen(ln.buf[i:n], s.k.cfg.VectorCap); run > 1 {
+				s.k.processFaultRun(ln, ln.buf[i:i+run])
+				for j := i; j < i+run; j++ {
+					ln.buf[j] = plane.Envelope[delivery]{}
 				}
+				i += run
+				continue
 			}
 			env := ln.buf[i]
 			ln.buf[i] = plane.Envelope[delivery]{}
@@ -530,9 +527,7 @@ func (k *Kernel) Scheduler() Scheduler { return k.sched }
 // a concurrent scheduler also swaps the mapping hash table and TLB for
 // lock-free CAS variants (castable.go, castlb.go); both are pure caches
 // over the authoritative segment page maps, so starting them cold is
-// correct (it only costs some extra virtual refill time). The sharded,
-// per-shard-locked variants remain in sharded.go as the reference
-// implementations the CAS tables are tested against.
+// correct (it only costs some extra virtual refill time).
 func (k *Kernel) SetScheduler(s Scheduler) {
 	if k.sched != nil {
 		k.sched.Stop()
@@ -550,26 +545,6 @@ func (k *Kernel) SetScheduler(s Scheduler) {
 		k.table = newCASTableSized(slots)
 		k.tlb = newCASTLB(k.cfg.TLBEntries)
 	}
-}
-
-// bootConcurrent selects the scheduler New installs, so whole-program runs
-// (cmd/reproduce -sched=concurrent) can flip every kernel they build
-// without threading configuration through each experiment. Set it from the
-// main goroutine before building kernels.
-var bootConcurrent bool
-
-// SetBootScheduler selects the scheduler mode ("serial" or "concurrent")
-// that New installs in subsequently built kernels.
-func SetBootScheduler(mode string) error {
-	switch mode {
-	case "", "serial":
-		bootConcurrent = false
-	case "concurrent":
-		bootConcurrent = true
-	default:
-		return fmt.Errorf("kernel: unknown scheduler %q (want serial or concurrent)", mode)
-	}
-	return nil
 }
 
 // deliverFault resolves the faulted segment's manager and hands the fault

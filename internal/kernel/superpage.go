@@ -3,7 +3,6 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"epcm/internal/phys"
 )
@@ -31,19 +30,6 @@ import (
 // pages. It matches phys.MaxRunOrder, the largest aligned run the buddy
 // free list can allocate, so every promotable extent is also allocatable.
 const MaxExtentOrder = phys.MaxRunOrder
-
-// superpages gates the whole extent plane, like batchOps gates batching.
-// Off (the default) every path — promotion, span lookups, the batch extent
-// fast paths — is bypassed with at most a relaxed atomic load, so the
-// golden reproduction output is byte-identical in every mode.
-var superpages atomic.Bool
-
-// SetSuperpages enables or disables superpage extents process-wide. Set it
-// from the main goroutine before driving traffic.
-func SetSuperpages(on bool) { superpages.Store(on) }
-
-// SuperpagesEnabled reports whether superpage extents are enabled.
-func SuperpagesEnabled() bool { return superpages.Load() }
 
 // ErrSuperpagesOff reports a superpage operation with the extent plane
 // disabled.
@@ -76,7 +62,7 @@ func extentBase(page int64, o int) int64 {
 // kernel call plus one SuperpageOp, independent of order: collapsing the
 // per-page cost is the point.
 func (k *Kernel) PromoteExtent(cred Cred, s *Segment, base int64, order int) error {
-	if !superpages.Load() {
+	if !k.cfg.Superpages {
 		return ErrSuperpagesOff
 	}
 	if order < 1 || order > MaxExtentOrder {

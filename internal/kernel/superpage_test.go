@@ -8,13 +8,10 @@ import (
 	"epcm/internal/sim"
 )
 
-// newSuperKernel is newTestKernel with the process-wide superpage switch on
-// for the duration of the test.
+// newSuperKernel is newTestKernel with the superpage extent plane on.
 func newSuperKernel(t *testing.T) *Kernel {
 	t.Helper()
-	SetSuperpages(true)
-	t.Cleanup(func() { SetSuperpages(false) })
-	return newTestKernel(t)
+	return newKernelWith(t, Config{Superpages: true})
 }
 
 // fillAligned moves n boot pages starting at boot page n*slot into seg at
@@ -28,15 +25,16 @@ func fillAligned(t *testing.T, k *Kernel, seg *Segment, bootPage, base, n int64)
 }
 
 func TestPromoteExtentValidation(t *testing.T) {
-	k := newTestKernel(t)
-	seg, _ := k.CreateSegment("data", 1)
-	fillAligned(t, k, seg, 16, 0, 16)
-	// Switch off: every promotion refuses.
-	if err := k.PromoteExtent(AppCred, seg, 0, 4); !errors.Is(err, ErrSuperpagesOff) {
+	off := newTestKernel(t)
+	offSeg, _ := off.CreateSegment("data", 1)
+	fillAligned(t, off, offSeg, 16, 0, 16)
+	// Plane off: every promotion refuses.
+	if err := off.PromoteExtent(AppCred, offSeg, 0, 4); !errors.Is(err, ErrSuperpagesOff) {
 		t.Fatalf("superpages off: err = %v", err)
 	}
-	SetSuperpages(true)
-	t.Cleanup(func() { SetSuperpages(false) })
+	k := newSuperKernel(t)
+	seg, _ := k.CreateSegment("data", 1)
+	fillAligned(t, k, seg, 16, 0, 16)
 	if err := k.PromoteExtent(AppCred, seg, 0, 0); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("order 0: err = %v", err)
 	}
@@ -190,9 +188,7 @@ func TestBatchMigrateExtentFallbacks(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			SetSuperpages(tc.super)
-			t.Cleanup(func() { SetSuperpages(false) })
-			k := newTestKernel(t)
+			k := newKernelWith(t, Config{Superpages: tc.super})
 			seg, _ := k.CreateSegment("data", 1)
 			before := k.Clock().Now()
 			if err := k.MigratePagesBatch(SystemCred, k.BootSegment(), seg,
@@ -209,9 +205,7 @@ func TestBatchMigrateExtentFallbacks(t *testing.T) {
 	}
 	// Discontiguous source frames with superpages on: assemble a segment
 	// whose pages 0..15 are backed by a non-contiguous run, then move them.
-	SetSuperpages(true)
-	t.Cleanup(func() { SetSuperpages(false) })
-	k := newTestKernel(t)
+	k := newSuperKernel(t)
 	staging, _ := k.CreateSegment("staging", 1)
 	fillAligned(t, k, staging, 32, 0, 8)
 	fillAligned(t, k, staging, 48, 8, 8)

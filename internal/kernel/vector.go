@@ -3,7 +3,6 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"epcm/internal/plane"
 )
@@ -34,41 +33,6 @@ import (
 // into the faulted page, which the kernel rejects with ErrPageBusy if run
 // twice.
 
-// vectorOps gates vectored delivery process-wide, mirroring the batchOps
-// toggle in batch.go: on by default, cleared by the -vector=false ablation.
-var vectorOps atomic.Bool
-
-// vectorCap bounds how many faults one vectored upcall may carry. It is the
-// adaptive drain knob's upper half; the lower half — low-occupancy
-// passthrough — is structural: a drain that pops one message never enters
-// the vector path at all.
-var vectorCap atomic.Int64
-
-func init() {
-	vectorOps.Store(true)
-	vectorCap.Store(laneDrainBatch)
-}
-
-// SetVectoredDelivery toggles vectored fault delivery process-wide. Like
-// SetBatchOps, call it between runs, not mid-delivery.
-func SetVectoredDelivery(on bool) { vectorOps.Store(on) }
-
-// VectoredDelivery reports whether vectored delivery is enabled.
-func VectoredDelivery() bool { return vectorOps.Load() }
-
-// SetVectorBatchCap bounds the faults per vectored upcall, clamped to
-// [1, laneDrainBatch]. Cap 1 is equivalent to -vector=false on the
-// delivery path.
-func SetVectorBatchCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > laneDrainBatch {
-		n = laneDrainBatch
-	}
-	vectorCap.Store(int64(n))
-}
-
 // VectorHandler is the optional Manager extension for vectored delivery.
 // The kernel calls HandleFaultVector with a batch of at least two faults
 // for this manager and a parallel result slice, all entries nil. The
@@ -82,12 +46,12 @@ type VectorHandler interface {
 }
 
 // faultRunLen reports how many envelopes from the front of envs form one
-// vectored batch: consecutive msgFault messages, capped by the batch cap.
-// A non-fault head yields 1 so the caller routes it through process().
-// Pure — batch assembly is a function of ring contents alone, which is what
-// keeps it deterministic.
-func faultRunLen(envs []plane.Envelope[delivery]) int {
-	lim := int(vectorCap.Load())
+// vectored batch: consecutive msgFault messages, at most lim of them. A
+// non-fault head yields 1 so the caller routes it through process(), and
+// lim 1 — the -vector=false ablation — never yields a run over 1. Pure:
+// batch assembly is a function of ring contents and the kernel's
+// VectorCap alone, which is what keeps it deterministic.
+func faultRunLen(envs []plane.Envelope[delivery], lim int) int {
 	if lim > len(envs) {
 		lim = len(envs)
 	}

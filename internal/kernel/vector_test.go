@@ -79,9 +79,9 @@ func enqueueExec(t *testing.T, ln *lane, m Manager, fn func()) chan error {
 
 // drainBatches queues the pages (with a nil page meaning an interleaved
 // exec message), drains the lane, and returns the recorded upcall shape.
-func drainBatches(t *testing.T, pages []int64, execAfter map[int]bool) [][]int64 {
+func drainBatches(t *testing.T, vectorCap int, pages []int64, execAfter map[int]bool) [][]int64 {
 	t.Helper()
-	k := newTestKernel(t)
+	k := newKernelWith(t, Config{VectorCap: vectorCap})
 	m := &vecRecorder{}
 	seg, err := k.CreateSegment("vec-data", 1)
 	if err != nil {
@@ -120,7 +120,7 @@ func TestVectoredBatchAssemblyDeterministic(t *testing.T) {
 	pages := []int64{7, 3, 11, 5, 2, 9, 13, 1}
 	want := fmt.Sprint([][]int64{pages})
 	for trial := 0; trial < 3; trial++ {
-		got := fmt.Sprint(drainBatches(t, pages, nil))
+		got := fmt.Sprint(drainBatches(t, 0, pages, nil))
 		if got != want {
 			t.Fatalf("trial %d: batches %s, want %s", trial, got, want)
 		}
@@ -129,7 +129,7 @@ func TestVectoredBatchAssemblyDeterministic(t *testing.T) {
 	// faults before it form one vector, the faults after it another.
 	wantSplit := fmt.Sprint([][]int64{{7, 3, 11}, {5, 2, 9, 13, 1}})
 	for trial := 0; trial < 3; trial++ {
-		got := fmt.Sprint(drainBatches(t, pages, map[int]bool{2: true}))
+		got := fmt.Sprint(drainBatches(t, 0, pages, map[int]bool{2: true}))
 		if got != wantSplit {
 			t.Fatalf("split trial %d: batches %s, want %s", trial, got, wantSplit)
 		}
@@ -140,30 +140,25 @@ func TestVectoredBatchAssemblyDeterministic(t *testing.T) {
 // one degenerates to the serial per-fault path (batches of length 1 go
 // through HandleFault, not HandleFaultVector).
 func TestVectorBatchCap(t *testing.T) {
-	defer SetVectorBatchCap(laneDrainBatch)
 	pages := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	SetVectorBatchCap(4)
-	got := fmt.Sprint(drainBatches(t, pages, nil))
+	got := fmt.Sprint(drainBatches(t, 4, pages, nil))
 	want := fmt.Sprint([][]int64{{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9}})
 	if got != want {
 		t.Fatalf("cap 4: batches %s, want %s", got, want)
 	}
-	SetVectorBatchCap(1)
-	got = fmt.Sprint(drainBatches(t, pages, nil))
+	got = fmt.Sprint(drainBatches(t, 1, pages, nil))
 	want = fmt.Sprint([][]int64{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}, {9}})
 	if got != want {
 		t.Fatalf("cap 1: batches %s, want %s", got, want)
 	}
 }
 
-// TestVectoredDisabledTakesSerialPath: with the -vector=false ablation the
-// same ring contents are delivered as per-fault HandleFault calls in the
-// same order, and no vectored-batch stats tick.
+// TestVectoredDisabledTakesSerialPath: with the -vector=false ablation
+// (VectorCap 1) the same ring contents are delivered as per-fault
+// HandleFault calls in the same order, and no vectored-batch stats tick.
 func TestVectoredDisabledTakesSerialPath(t *testing.T) {
-	SetVectoredDelivery(false)
-	defer SetVectoredDelivery(true)
 	pages := []int64{4, 2, 6, 1}
-	got := fmt.Sprint(drainBatches(t, pages, nil))
+	got := fmt.Sprint(drainBatches(t, 1, pages, nil))
 	want := fmt.Sprint([][]int64{{4}, {2}, {6}, {1}})
 	if got != want {
 		t.Fatalf("ablation: batches %s, want %s", got, want)
@@ -303,7 +298,6 @@ func TestVectoredInterceptorPerFault(t *testing.T) {
 // TestFaultRunLenPure: run assembly never looks past the cap or the first
 // non-fault message, and a non-fault head always yields a run of one.
 func TestFaultRunLenPure(t *testing.T) {
-	defer SetVectorBatchCap(laneDrainBatch)
 	mkEnvs := func(kinds ...deliveryKind) []plane.Envelope[delivery] {
 		envs := make([]plane.Envelope[delivery], len(kinds))
 		for i, kd := range kinds {
@@ -324,9 +318,8 @@ func TestFaultRunLenPure(t *testing.T) {
 		{[]deliveryKind{msgFault}, 1, 1},
 	}
 	for i, c := range cases {
-		SetVectorBatchCap(c.cap)
 		for trial := 0; trial < 3; trial++ {
-			if got := faultRunLen(mkEnvs(c.kinds...)); got != c.want {
+			if got := faultRunLen(mkEnvs(c.kinds...), c.cap); got != c.want {
 				t.Fatalf("case %d trial %d: run %d, want %d", i, trial, got, c.want)
 			}
 		}

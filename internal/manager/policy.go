@@ -139,37 +139,6 @@ func PolicyNames() []string {
 	return names
 }
 
-// bootPolicyName is the process-wide default for managers whose Config
-// leaves Policy nil; guarded by policyMu.
-var bootPolicyName = "clock"
-
-// SetBootPolicy sets the policy new managers boot with when their Config
-// does not name one. It validates the name against the registry.
-func SetBootPolicy(name string) error {
-	if _, err := NewPolicy(name); err != nil {
-		return err
-	}
-	policyMu.Lock()
-	bootPolicyName = name
-	policyMu.Unlock()
-	return nil
-}
-
-// BootPolicy reports the current boot-default policy name.
-func BootPolicy() string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	return bootPolicyName
-}
-
-func newBootPolicy() Policy {
-	p, err := NewPolicy(BootPolicy())
-	if err != nil {
-		return NewClockPolicy()
-	}
-	return p
-}
-
 // ---- host implementation ----
 
 // policyHost adapts a Generic to the PolicyHost interface. One instance

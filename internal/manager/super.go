@@ -14,8 +14,8 @@ import (
 // SuperpageOp charge), and extent-first reclamation so a promoted extent is
 // evicted whole instead of decaying page by page.
 //
-// Everything here is gated on Config.ExtentOrder > 0 AND the process-wide
-// kernel.SuperpagesEnabled() switch; with either off, the hooks in
+// Everything here is gated on Config.ExtentOrder > 0 AND the kernel's
+// Superpages config; with either off, the hooks in
 // generic.go cost one integer compare and the golden fault paths are
 // untouched. Demotion bookkeeping mirrors the kernel: any migration that
 // removes a covered page demotes the extent inside the kernel
@@ -74,10 +74,8 @@ type extentState struct {
 }
 
 // superOn reports whether the superpage plane is active for this manager.
-// The ExtentOrder check goes first so golden-mode managers (ExtentOrder 0)
-// never touch the process-wide atomic.
 func (g *Generic) superOn() bool {
-	return g.cfg.ExtentOrder > 0 && kernel.SuperpagesEnabled()
+	return g.cfg.ExtentOrder > 0 && g.k.Superpages()
 }
 
 // extentSpan returns the extent length in pages and the base covering page.

@@ -10,7 +10,7 @@ import (
 // under: serial, single-shard sharded and multi-shard sharded.
 func lifecycleEnvs() map[string]*Env {
 	return map[string]*Env{
-		"serial":    NewSerialEnv(&Clock{}),
+		"serial":    NewEnv(&Clock{}),
 		"sharded-1": NewShardedEnv(&Clock{}, 1, 0),
 		"sharded-3": NewShardedEnv(&Clock{}, 3, 0),
 	}

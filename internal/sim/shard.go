@@ -28,37 +28,6 @@ import (
 // reproduce.golden stays byte-identical under the sharded engine.
 
 // ---------------------------------------------------------------------------
-// Boot-time engine selection
-
-// bootSharded selects the engine NewEnv installs, so whole-program runs
-// (cmd/reproduce -timeengine sharded) can flip every environment they build
-// without threading configuration through each experiment. Set it from the
-// main goroutine before building environments.
-var bootSharded bool
-
-// SetBootTimeEngine selects the virtual-time engine ("serial" or "sharded")
-// that NewEnv uses for subsequently built environments.
-func SetBootTimeEngine(mode string) error {
-	switch mode {
-	case "", "serial":
-		bootSharded = false
-	case "sharded":
-		bootSharded = true
-	default:
-		return fmt.Errorf("sim: unknown time engine %q (want serial or sharded)", mode)
-	}
-	return nil
-}
-
-// BootTimeEngine reports the boot-time engine selection.
-func BootTimeEngine() string {
-	if bootSharded {
-		return "sharded"
-	}
-	return "serial"
-}
-
-// ---------------------------------------------------------------------------
 // Shard
 
 // Shard is one partition of a sharded environment: an event heap, a local

@@ -49,7 +49,7 @@ func traceWorkload(e *Env) []string {
 // the windowed drain — produces the exact event order and clock sequence of
 // the serial engine.
 func TestShardedSingleShardMatchesSerial(t *testing.T) {
-	serial := traceWorkload(NewSerialEnv(&Clock{}))
+	serial := traceWorkload(NewEnv(&Clock{}))
 	sharded := traceWorkload(NewShardedEnv(&Clock{}, 1, 0))
 	if len(serial) != len(sharded) {
 		t.Fatalf("trace lengths differ: serial %d, sharded %d", len(serial), len(sharded))
@@ -58,26 +58,6 @@ func TestShardedSingleShardMatchesSerial(t *testing.T) {
 		if serial[i] != sharded[i] {
 			t.Fatalf("traces diverge at step %d:\n  serial:  %s\n  sharded: %s", i, serial[i], sharded[i])
 		}
-	}
-}
-
-// TestBootTimeEngine checks the boot knob routes NewEnv and rejects junk.
-func TestBootTimeEngine(t *testing.T) {
-	defer func() { _ = SetBootTimeEngine("serial") }()
-	if err := SetBootTimeEngine("sharded"); err != nil {
-		t.Fatal(err)
-	}
-	if got := NewEnv(&Clock{}).EngineName(); got != "sharded" {
-		t.Fatalf("engine = %q, want sharded", got)
-	}
-	if err := SetBootTimeEngine(""); err != nil {
-		t.Fatal(err)
-	}
-	if got := NewEnv(&Clock{}).EngineName(); got != "serial" {
-		t.Fatalf("engine = %q, want serial", got)
-	}
-	if err := SetBootTimeEngine("warped"); err == nil {
-		t.Fatal("bogus engine name accepted")
 	}
 }
 

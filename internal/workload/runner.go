@@ -74,8 +74,10 @@ type VppRunner struct {
 }
 
 // NewVppRunner boots a V++ machine with the paper's 128 MB (scaled by
-// memPages if nonzero) and a diskless network file server.
-func NewVppRunner(memPages int) (*VppRunner, error) {
+// memPages if nonzero) and a diskless network file server. kcfg configures
+// the kernel; policy is the default manager's replacement policy (nil
+// means clock).
+func NewVppRunner(memPages int, kcfg kernel.Config, policy manager.Policy) (*VppRunner, error) {
 	if memPages <= 0 {
 		memPages = 32768 // 128 MB of 4 KB pages
 	}
@@ -85,13 +87,13 @@ func NewVppRunner(memPages int) (*VppRunner, error) {
 		StoreData:  false, // metadata-only: these runs track activity, not contents
 	})
 	clock := &sim.Clock{}
-	k := kernel.New(mem, clock, sim.DECstation5000(), kernel.Config{})
+	k := kernel.New(mem, clock, sim.DECstation5000(), kcfg)
 	store := storage.NewStore(clock, storage.NetworkServer(), 4096)
 	pool, err := manager.NewFixedPool(k, int64(memPages)-64, 16)
 	if err != nil {
 		return nil, err
 	}
-	d, err := defaultmgr.New(k, store, defaultmgr.Config{Source: pool})
+	d, err := defaultmgr.New(k, store, defaultmgr.Config{Source: pool, Policy: policy})
 	if err != nil {
 		return nil, err
 	}

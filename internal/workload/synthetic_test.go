@@ -3,11 +3,13 @@ package workload
 import (
 	"testing"
 	"time"
+
+	"epcm/internal/kernel"
 )
 
 func TestScanWorkloadRunsOnBothSystems(t *testing.T) {
 	spec := Scan(64, 16, 32, 2, 10*time.Millisecond)
-	vr, err := NewVppRunner(4096)
+	vr, err := NewVppRunner(4096, kernel.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func TestScanWorkloadRunsOnBothSystems(t *testing.T) {
 func TestRandomWorkloadIdenticalReferenceString(t *testing.T) {
 	spec := RandomTouch(64, 500, 11)
 	run := func() (int64, int64) {
-		vr, err := NewVppRunner(4096)
+		vr, err := NewVppRunner(4096, kernel.Config{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +64,7 @@ func TestRandomWorkloadDifferentSeedsDiffer(t *testing.T) {
 	// touch budget, the touched-page subsets (and hence fault counts)
 	// almost surely differ.
 	countFaults := func(seed uint64) int64 {
-		vr, err := NewVppRunner(4096)
+		vr, err := NewVppRunner(4096, kernel.Config{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

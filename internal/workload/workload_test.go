@@ -3,6 +3,8 @@ package workload
 import (
 	"testing"
 	"time"
+
+	"epcm/internal/kernel"
 )
 
 func runBoth(t *testing.T, spec Spec) (vppElapsed, ultrixElapsed time.Duration, vpp, ult Counters) {
@@ -11,7 +13,7 @@ func runBoth(t *testing.T, spec Spec) (vppElapsed, ultrixElapsed time.Duration, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	vr, err := NewVppRunner(0)
+	vr, err := NewVppRunner(0, kernel.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestWorkloadUnderMemoryPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 288 usable pages: far less than the ~520-page footprint.
-	vr, err := NewVppRunner(352)
+	vr, err := NewVppRunner(352, kernel.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestWorkloadUnderMemoryPressure(t *testing.T) {
 
 func mustVpp(t *testing.T) *VppRunner {
 	t.Helper()
-	r, err := NewVppRunner(0)
+	r, err := NewVppRunner(0, kernel.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

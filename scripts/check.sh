@@ -77,13 +77,15 @@ trap 'rm -f "$policy_tmp" "$time_tmp" "$super_tmp" "$scale_tmp"' EXIT
     -scalefaults 512 -scalefile "$scale_tmp" || true; } |
     grep -q "Vectored delivery"
 
-echo "== golden output, vectoring ablation =="
-# The golden tables are produced by single-driver runs, where faults never
-# queue behind each other and batches never form — so the output must be
-# byte-identical with vectored delivery on (default) and off.
+echo "== golden reproduce output (every mode arm) =="
+# Each mode arm boots its machines with a different config; none may move
+# a byte of the paper tables. The arm list matches ci.yml.
 golden_tmp=$(mktemp)
 trap 'rm -f "$policy_tmp" "$time_tmp" "$super_tmp" "$scale_tmp" "$golden_tmp"' EXIT
-go run ./cmd/reproduce -vector=false > "$golden_tmp"
-diff internal/experiments/testdata/reproduce.golden "$golden_tmp"
+for arm in "" "-sched concurrent" "-batch=false" "-timeengine sharded" "-super" "-vector=false"; do
+    # $arm is unquoted on purpose: "-sched concurrent" is two arguments.
+    go run ./cmd/reproduce $arm > "$golden_tmp"
+    diff internal/experiments/testdata/reproduce.golden "$golden_tmp"
+done
 
 echo "All checks passed."
